@@ -46,13 +46,13 @@ print(f"  norm on the grid     : {np.sum(res.wavefunction**2) * dr:.12f}")
 print()
 
 # variational check: the ground state lies below every Rayleigh quotient
-r, H = solver.build_hamiltonian_3d(V, 1.0, 2.0, 20.0, 128)
-M0, _, _ = solver.solve_once_3d(V, 1.0, 2.0, 20.0, 128)
+M0, r, _ = solver.solve_once_3d(V, 1.0, 2.0, 20.0, 128)
 rng = np.random.default_rng(0)
 quotients = []
 for _ in range(5):
     v = rng.standard_normal(127)
     v /= np.linalg.norm(v)
-    quotients.append(float(v @ H @ v))
+    Hv = solver.apply_kinetic_3d(v, 20.0, 1.0, 2.0) + potentials.evaluate(V, r) * v
+    quotients.append(float(v @ Hv))
 print(f"ground state {M0:.6f} below all 5 random Rayleigh quotients: "
       f"min quotient = {min(quotients):.6f}")

@@ -136,7 +136,10 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in _DEFAULTS:
+                raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
-from .errors import DivergentNormError, DomainError
+from .errors import ConvergenceError, DivergentNormError, DomainError
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, _quad, _tail
 
 __all__ = [

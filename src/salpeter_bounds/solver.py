@@ -13,9 +13,10 @@ kinetic term applied spectrally:
 
 Ground states are converged by doubling the grid count until the N vs 2N
 eigenvalue drift falls below the configured tolerance, doubling the box as
-well when a bound state's tail touches the boundary.  Dense symmetric
-diagonalization is used up to ``dense_max`` points and restarted-Lanczos
-iteration (with a fixed start vector, so results are deterministic) above.
+well when a bound state's tail touches the boundary.  Every solve, in both
+dimensions and at every N, finds the lowest eigenpair by restarted-Lanczos
+iteration (``eigsh``) on the matrix-free spectral operator, with a fixed
+start vector so results are deterministic.
 
 The critical coupling where the ground-state mass crosses zero is located by
 a bisection whose bracket is re-validated at every grid refinement.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy.fft import dst
 
@@ -41,8 +41,6 @@ __all__ = [
     "sine_momenta",
     "kinetic_diagonal",
     "apply_kinetic_3d",
-    "build_hamiltonian_3d",
-    "build_hamiltonian_1d",
     "solve_once_3d",
     "solve_once_1d",
     "ground_state_3d_swave",
@@ -66,7 +64,6 @@ class SolverConfig:
     N: int = 256
     eigen_tol: float = 1e-6
     max_grid: int = 16384
-    dense_max: int = 2048
     tail_threshold: float = 1e-8
     max_box_doublings: int = 4
 
@@ -132,91 +129,44 @@ def apply_kinetic_3d(u: np.ndarray, L: float, m: float, alpha: float) -> np.ndar
     return dst(eps * dst(u, type=1, norm="ortho"), type=1, norm="ortho")
 
 
-def build_hamiltonian_3d(V: PotentialModel, m, alpha, L, N):
-    """Dense s-wave Hamiltonian on r_j = j L / N; returns (r, H)."""
-    j = np.arange(1, N)
-    r = j * (L / N)
-    eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
-    S = math.sqrt(2.0 / N) * np.sin((math.pi / N) * np.outer(j, j))
-    H = (S * eps) @ S
-    H[np.diag_indices_from(H)] += evaluate(V, r)
-    return r, 0.5 * (H + H.T)
-
-
-def _grid_1d(L: float, N: int) -> np.ndarray:
-    # half-step offset keeps the (possibly singular) origin off the grid
-    dx = L / N
-    return -0.5 * L + (np.arange(N) + 0.5) * dx
-
-
-def build_hamiltonian_1d(V: PotentialModel, m, alpha, L, N):
-    """Dense periodic Hamiltonian on [-L/2, L/2]; returns (x, H)."""
-    x = _grid_1d(L, N)
-    p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
-    eps = kinetic_diagonal(p, m, alpha)
-    c = np.fft.ifft(eps).real
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    H = c[idx]
-    H[np.diag_indices_from(H)] += evaluate(V, np.abs(x))
-    return x, 0.5 * (H + H.T)
-
-
-def _lowest_dense(H: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = scipy.linalg.eigh(H, subset_by_index=(0, 0))
-    return float(w[0]), v[:, 0]
-
-
-def _lowest_iterative(matvec, n: int) -> tuple[float, np.ndarray]:
+def _lowest_state(matvec, grid: np.ndarray, L: float, N: int):
+    """Lowest eigenpair of the symmetric operator ``matvec`` on ``grid``;
+    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak."""
+    n = len(grid)
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.full(n, 1.0 / math.sqrt(n))
     w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, maxiter=50000)
-    return float(w[0]), v[:, 0]
+    u = v[:, 0]
+    u = u / math.sqrt(np.sum(u * u) * (L / N))
+    if u[np.argmax(np.abs(u))] < 0.0:
+        u = -u
+    return float(w[0]), grid, u
 
 
-def solve_once_3d(
-    V: PotentialModel, m: float, alpha: float, L: float, N: int, dense_max: int = 2048
-):
+def solve_once_3d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
     """Single-resolution s-wave ground state; returns (M, r, u_normalized)."""
-    if N <= dense_max:
-        r, H = build_hamiltonian_3d(V, m, alpha, L, N)
-        M, u = _lowest_dense(H)
-    else:
-        j = np.arange(1, N)
-        r = j * (L / N)
-        eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
-        Vr = evaluate(V, r)
+    r = np.arange(1, N) * (L / N)
+    eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
+    Vr = evaluate(V, r)
 
-        def mv(x):
-            return dst(eps * dst(x, type=1, norm="ortho"), type=1, norm="ortho") + Vr * x
+    def mv(x):
+        return dst(eps * dst(x, type=1, norm="ortho"), type=1, norm="ortho") + Vr * x
 
-        M, u = _lowest_iterative(mv, N - 1)
-    u = u / math.sqrt(np.sum(u * u) * (L / N))
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    return M, r, u
+    return _lowest_state(mv, r, L, N)
 
 
-def solve_once_1d(
-    V: PotentialModel, m: float, alpha: float, L: float, N: int, dense_max: int = 2048
-):
+def solve_once_1d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
     """Single-resolution 1D ground state; returns (M, x, psi_normalized)."""
-    if N <= dense_max:
-        x, H = build_hamiltonian_1d(V, m, alpha, L, N)
-        M, u = _lowest_dense(H)
-    else:
-        x = _grid_1d(L, N)
-        p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
-        eps = kinetic_diagonal(p, m, alpha)
-        Vx = evaluate(V, np.abs(x))
+    # half-step offset keeps the (possibly singular) origin off the grid
+    x = -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+    p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
+    eps = kinetic_diagonal(p, m, alpha)
+    Vx = evaluate(V, np.abs(x))
 
-        def mv(y):
-            return np.fft.ifft(eps * np.fft.fft(y)).real + Vx * y
+    def mv(y):
+        return np.fft.ifft(eps * np.fft.fft(y)).real + Vx * y
 
-        M, u = _lowest_iterative(mv, N)
-    u = u / math.sqrt(np.sum(u * u) * (L / N))
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    return M, x, u
+    return _lowest_state(mv, x, L, N)
 
 
 def _default_box(V: PotentialModel, m: float) -> float:
@@ -242,11 +192,11 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
 
     for _ in range(cfg.max_box_doublings + 1):
         N = n_start
-        M, grid, u = solve(V, m, alpha, L, N, cfg.dense_max)
+        M, grid, u = solve(V, m, alpha, L, N)
         converged = False
         delta = math.inf
         while 2 * N <= cfg.max_grid:
-            M2, grid2, u2 = solve(V, m, alpha, L, 2 * N, cfg.dense_max)
+            M2, grid2, u2 = solve(V, m, alpha, L, 2 * N)
             delta = abs(M - M2)
             M, grid, u, N = M2, grid2, u2, 2 * N
             if delta <= cfg.eigen_tol * max(abs(M2), scale):
@@ -330,7 +280,7 @@ def critical_coupling_exact(
     def mass(g: float, N: int) -> float:
         key = (g, N)
         if key not in cache:
-            cache[key] = solve(with_coupling(shape, g), m, alpha, L, N, cfg.dense_max)[0]
+            cache[key] = solve(with_coupling(shape, g), m, alpha, L, N)[0]
         return cache[key]
 
     history: list[tuple[float, float, int]] = []
@@ -385,6 +335,10 @@ def critical_coupling_exact(
                 break
             g_hi += step
             step *= 2.0
+        if not mass(g_lo, N) > 0.0 > mass(g_hi, N):
+            raise BracketError(
+                f"bracket [{g_lo:g}, {g_hi:g}] lost M(g_lo) > 0 > M(g_hi) at N = {N}"
+            )
         g_lo, g_hi = bisect(g_lo, g_hi, N)
         gc = 0.5 * (g_lo + g_hi)
         if gc_prev is not None and abs(gc - gc_prev) <= stability * gc:

@@ -141,6 +141,14 @@ def test_config_file_flags_override(tmp_path, capsys):
     assert float(out_flag.split("M >= ")[1].split()[0]) == pytest.approx(1.0)
 
 
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 2.0\ngee = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bound3d", "--config", str(cfg), "--q", "1.0"], capsys)
+    assert str(exc.value) == f"{cfg}:2: unknown key 'gee'"
+
+
 def test_fig1_sweep_validity_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

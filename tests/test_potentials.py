@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from salpeter_bounds import potentials as pot
-from salpeter_bounds.errors import DivergentNormError, DomainError
+from salpeter_bounds.errors import ConvergenceError, DivergentNormError, DomainError
 from salpeter_bounds.potentials import PotentialKind, TruncatedPotential
 from salpeter_bounds.specfun import QuadratureSpec
 
@@ -132,6 +132,14 @@ def test_logarithmic_norm_is_finite():
             4.0 * math.pi * math.gamma(s + 1.0) / 3.0 ** (s + 1.0)
         ) ** (1.0 / s)
         assert pot.negative_part_norm(L, s, 3) == pytest.approx(want, rel=1e-12)
+
+
+def test_logarithmic_quadrature_rejects_large_exponent():
+    # the double-precision quadrature route stops at s = 100; the closed form
+    # covers larger exponents
+    with pytest.raises(ConvergenceError):
+        pot.negative_part_norm(pot.logarithmic(1.0, 1.0), 150.0, 3, method="quadrature")
+    assert pot.negative_part_norm(pot.logarithmic(1.0, 1.0), 150.0, 3) > 0.0
 
 
 def test_norm_zero_iff_no_negative_part():

@@ -4,12 +4,35 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from salpeter_bounds import potentials as pot
 from salpeter_bounds import solver as sv
 from salpeter_bounds.errors import BracketError, ConvergenceError, DomainError
 
 ZERO = pot.tabulated([0.0, 50.0], [0.0, 0.0])
+
+
+def dense_hamiltonian_3d(V, m, alpha, L, N):
+    """Reference s-wave Hamiltonian on r_j = j L / N as a dense matrix
+    S diag(eps) S + diag(V) in the orthonormal DST-I basis."""
+    j = np.arange(1, N)
+    eps = sv.kinetic_diagonal(sv.sine_momenta(L, N), m, alpha)
+    S = math.sqrt(2.0 / N) * np.sin((math.pi / N) * np.outer(j, j))
+    H = (S * eps) @ S
+    H[np.diag_indices_from(H)] += pot.evaluate(V, j * (L / N))
+    return 0.5 * (H + H.T)
+
+
+def dense_hamiltonian_1d(V, m, alpha, L, N):
+    """Reference periodic Hamiltonian on x_j = -L/2 + (j + 1/2) L / N as a
+    dense circulant kinetic matrix plus diag(V(|x|))."""
+    x = -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+    eps = sv.kinetic_diagonal(2.0 * math.pi * np.fft.fftfreq(N, d=L / N), m, alpha)
+    c = np.fft.ifft(eps).real
+    H = c[(np.arange(N)[:, None] - np.arange(N)[None, :]) % N]
+    H[np.diag_indices_from(H)] += pot.evaluate(V, np.abs(x))
+    return 0.5 * (H + H.T)
 
 
 def test_free_spectrum_3d():
@@ -47,7 +70,7 @@ def test_wavefunction_normalization():
 def test_rayleigh_quotient_upper_bounds_ground_state():
     E = pot.exponential(2.0, 1.0)
     m, alpha, L, N = 1.0, 2.0, 20.0, 128
-    r, H = sv.build_hamiltonian_3d(E, m, alpha, L, N)
+    H = dense_hamiltonian_3d(E, m, alpha, L, N)
     M, _, _ = sv.solve_once_3d(E, m, alpha, L, N)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -147,10 +170,17 @@ def test_config_validation():
         sv.ground_state_3d_swave(ZERO, sv.SolverConfig(dimension=1))
 
 
-def test_iterative_path_matches_dense():
+@pytest.mark.parametrize("dim, N", [(3, 64), (3, 512), (1, 64), (1, 512)])
+def test_iterative_path_matches_dense(dim, N):
     E = pot.exponential(6.0, 1.0)
-    dense, _, _ = sv.solve_once_3d(E, 1.0, 2.0, 20.0, 512, dense_max=2048)
-    iterative, _, _ = sv.solve_once_3d(E, 1.0, 2.0, 20.0, 512, dense_max=256)
+    solve, build = {
+        3: (sv.solve_once_3d, dense_hamiltonian_3d),
+        1: (sv.solve_once_1d, dense_hamiltonian_1d),
+    }[dim]
+    iterative, _, _ = solve(E, 1.0, 2.0, 20.0, N)
+    dense = scipy.linalg.eigh(
+        build(E, 1.0, 2.0, 20.0, N), eigvals_only=True, subset_by_index=(0, 0)
+    )[0]
     assert iterative == pytest.approx(dense, rel=1e-9)
 
 
@@ -169,6 +199,18 @@ def test_critical_coupling_bisection():
         m_lo = sv.solve_once_3d(pot.exponential(lo, 1.0), 1.0, 2.0, res.box_size, N)[0]
         m_hi = sv.solve_once_3d(pot.exponential(hi, 1.0), 1.0, 2.0, res.box_size, N)[0]
         assert m_lo > 0.0 > m_hi
+
+
+def test_critical_coupling_rejects_lost_bracket(monkeypatch):
+    # the root of M(g) = root - g jumps from 1 to 1e-9 past N = 128, below
+    # the g_lo clamp of the re-validation, so no bracket exists at N = 256
+    def fake_solve(V, m, alpha, L, N):
+        return (1.0 if N <= 128 else 1e-9) - V.g, None, None
+
+    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
+    with pytest.raises(BracketError):
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
 
 
 def test_critical_coupling_bracket_failure():
