@@ -337,7 +337,10 @@ def _scaled_power(value: float, k: float, s: float) -> float:
 
 def _singular_head_integrand(u: float, base: float, k: float, s: float, dim: int) -> float:
     # full integrand of the u = sqrt(r) substituted head in log space:
-    # 2u * w(u^2) * (base/k)^s with w = 4 pi r^(dim-1)-type weight
+    # 2u * w(u^2) * (base/k)^s with w = 4 pi r^(dim-1)-type weight.  For a
+    # base ~ r^(-1/2) it behaves like u^(5-s) in 3D, singular for 5 < s < 6,
+    # and like u^(1-s) in 1D, singular for every s > 1; QUADPACK's
+    # extrapolation absorbs what the substitution leaves
     if u <= 0.0 or base <= 0.0 or k <= 0.0:
         return 0.0
     if dim == 3:
@@ -379,7 +382,8 @@ def _norm_quadrature(V: PotentialModel, s: float, dim: int, spec) -> float:
             raise DivergentNormError(
                 f"singular potential negative part is not in L^{s:g} in {dim}D"
             )
-        # u = sqrt(r) removes the r^(-s/2) endpoint singularity
+        # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
+        # in 3D and u^(1-s) in 1D; see _singular_head_integrand
         def head(u):
             return _singular_head_integrand(
                 u, max(0.0, -evaluate(V, u * u)) if u > 0.0 else 0.0, k, s, dim
@@ -566,6 +570,8 @@ def _truncated_norm_quadrature(
             )
         split = min(b, V.R)
 
+        # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
+        # in 3D and u^(1-s) in 1D; see _singular_head_integrand
         def head(u):
             return _singular_head_integrand(
                 u,

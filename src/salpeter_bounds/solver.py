@@ -15,11 +15,15 @@ Ground states are converged by doubling the grid count until the N vs 2N
 eigenvalue drift falls below the configured tolerance, doubling the box as
 well when a bound state's tail touches the boundary.  Every solve, in both
 dimensions and at every N, finds the lowest eigenpair by restarted-Lanczos
-iteration (``eigsh``) on the matrix-free spectral operator, with a fixed
-start vector so results are deterministic.
+iteration (``eigsh``) on the matrix-free spectral operator.  Its start vector
+is flat, or for the coupling root an earlier eigenvector, so results are
+deterministic.
 
 The critical coupling where the ground-state mass crosses zero is located by
-a bisection whose bracket is re-validated at every grid refinement.
+a bracketed Newton-chord root at each grid level: M(g) is concave in g and
+its slope <u|v|u> comes with the eigenvector, so Newton steps stay on the
+M < 0 side and chord steps on the M > 0 side.  Each level starts from the
+previous level's root, and each solve from the nearest stored eigenvector.
 """
 
 from __future__ import annotations
@@ -129,12 +133,14 @@ def apply_kinetic_3d(u: np.ndarray, L: float, m: float, alpha: float) -> np.ndar
     return dst(eps * dst(u, type=1, norm="ortho"), type=1, norm="ortho")
 
 
-def _lowest_state(matvec, grid: np.ndarray, L: float, N: int):
+def _lowest_state(matvec, grid: np.ndarray, L: float, N: int, v0=None):
     """Lowest eigenpair of the symmetric operator ``matvec`` on ``grid``;
-    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak."""
+    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak.  The
+    Lanczos iteration starts from ``v0``, or from a flat vector if None."""
     n = len(grid)
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.full(n, 1.0 / math.sqrt(n))
+    if v0 is None:
+        v0 = np.full(n, 1.0 / math.sqrt(n))
     w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, maxiter=50000)
     u = v[:, 0]
     u = u / math.sqrt(np.sum(u * u) * (L / N))
@@ -143,22 +149,36 @@ def _lowest_state(matvec, grid: np.ndarray, L: float, N: int):
     return float(w[0]), grid, u
 
 
-def solve_once_3d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
-    """Single-resolution s-wave ground state; returns (M, r, u_normalized)."""
-    r = np.arange(1, N) * (L / N)
+def _sample_points(L: float, N: int, dim: int) -> np.ndarray:
+    """Grid of the N-point discretization: r_j = j L / N, j = 1..N-1, in 3D;
+    x_j = -L/2 + (j + 1/2) L / N, j = 0..N-1, in 1D, where the half-step
+    offset keeps the (possibly singular) origin off the grid."""
+    if dim == 3:
+        return np.arange(1, N) * (L / N)
+    return -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+
+
+def solve_once_3d(
+    V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
+):
+    """Single-resolution s-wave ground state; returns (M, r, u_normalized).
+    ``v0`` is the Lanczos start vector (default: flat)."""
+    r = _sample_points(L, N, 3)
     eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
     Vr = evaluate(V, r)
 
     def mv(x):
         return dst(eps * dst(x, type=1, norm="ortho"), type=1, norm="ortho") + Vr * x
 
-    return _lowest_state(mv, r, L, N)
+    return _lowest_state(mv, r, L, N, v0)
 
 
-def solve_once_1d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
-    """Single-resolution 1D ground state; returns (M, x, psi_normalized)."""
-    # half-step offset keeps the (possibly singular) origin off the grid
-    x = -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+def solve_once_1d(
+    V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
+):
+    """Single-resolution 1D ground state; returns (M, x, psi_normalized).
+    ``v0`` is the Lanczos start vector (default: flat)."""
+    x = _sample_points(L, N, 1)
     p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
     eps = kinetic_diagonal(p, m, alpha)
     Vx = evaluate(V, np.abs(x))
@@ -166,11 +186,25 @@ def solve_once_1d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
     def mv(y):
         return np.fft.ifft(eps * np.fft.fft(y)).real + Vx * y
 
-    return _lowest_state(mv, x, L, N)
+    return _lowest_state(mv, x, L, N, v0)
 
 
 def _default_box(V: PotentialModel, m: float) -> float:
     return 20.0 * max(length_scale(V), 1.0 / m)
+
+
+def _coupling_slope(shape: PotentialModel, grid, u, L: float, N: int) -> float:
+    """dM/dg = <u|v|u> for the normalized ground state u of K + g v, where v
+    is the unit-coupling ``shape`` (Hellmann-Feynman)."""
+    return float(np.sum(u * u * evaluate(shape, np.abs(grid)))) * (L / N)
+
+
+def _refine(grid, u, L: float, N: int, dim: int) -> np.ndarray:
+    """Linear interpolation of a coarser level's state u onto the N-point grid."""
+    fine = _sample_points(L, N, dim)
+    if dim == 3:
+        return np.interp(fine, np.r_[0.0, grid, L], np.r_[0.0, u, 0.0])
+    return np.interp(fine, grid, u, period=L)
 
 
 def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
@@ -204,7 +238,11 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
                 break
         if not converged:
             if best is not None:
-                return best  # keep the last box that did converge
+                raise ConvergenceError(
+                    f"ground state not converged to {cfg.eigen_tol:g} at N = {N} "
+                    f"in the doubled box L = {L:g}; the box L = {best.box_size:g} "
+                    f"left boundary amplitude {best.boundary_amplitude:.3g}"
+                )
             raise ConvergenceError(
                 f"ground state not converged to {cfg.eigen_tol:g} at N = {N}"
             )
@@ -253,16 +291,24 @@ def critical_coupling_exact(
     g_tol_rel: float = 1e-6,
     grid_stability_rel: float | None = None,
 ) -> CriticalCouplingResult:
-    """Coupling g at which the ground-state mass of g * v crosses zero,
-    located by bisection with the bracket invariant M(g_lo) > 0 > M(g_hi)
-    maintained at every step and re-validated on each grid refinement.
+    """Coupling g at which the ground-state mass of g * v crosses zero.
+
+    M(g) is concave (an infimum of functions affine in g), and its slope
+    dM/dg = <u|v|u> comes with the eigenvector (Hellmann-Feynman).  So a
+    Newton step lands on the M <= 0 side and a chord step between the two
+    ends of a bracket on the M >= 0 side: the bracket invariant
+    M(g_lo) > 0 > M(g_hi) holds by construction at every step.  Each grid
+    level narrows its bracket to 1e-3 * ``g_tol_rel``; the first level is
+    bracketed by doubling from g = 1, each later one by a Newton step from
+    the previous root.  Every eigensolve starts from the stored eigenvector
+    of the nearest coupling at the same N, or from the coarser level's one.
 
     ``m``/``alpha`` override the config values when given; ``v`` is used as
     the unit-coupling shape.  ``grid_stability_rel`` (default: equal to
     ``g_tol_rel``) is the required stability of the root under grid doubling;
     potentials with a non-smooth core (the r^(-1/2) kind) converge only
     algebraically in the grid spacing and need a looser value than the
-    bisection tolerance to finish at desk scale.
+    root tolerance to finish at desk scale.
     """
     cfg = cfg or SolverConfig()
     if m is not None or alpha is not None:
@@ -273,89 +319,124 @@ def critical_coupling_exact(
     shape = with_coupling(v, 1.0) if v.g != 1.0 else v
     solve = solve_once_3d if dim == 3 else solve_once_1d
     L = cfg.L if cfg.L is not None else _default_box(shape, m)
-    scale = alpha * m
+    # |M| below the eigensolver's noise has no reliable sign: such a coupling
+    # is a root, never a bracket end
+    floor = 1e-12 * alpha * m
+    level_tol = 1e-3 * g_tol_rel
 
-    cache: dict[tuple[float, int], float] = {}
+    states: dict[int, dict[float, tuple]] = {}
+
+    def start_vector(g: float, N: int):
+        for n in (N, N // 2):
+            level = states.get(n)
+            if level:
+                _, grid, u = level[min(level, key=lambda h: abs(h - g))]
+                return u if n == N else _refine(grid, u, L, N, dim)
+        return None
+
+    def state(g: float, N: int) -> tuple:
+        level = states.setdefault(N, {})
+        if g not in level:
+            v0 = start_vector(g, N)
+            level[g] = solve(with_coupling(shape, g), m, alpha, L, N, v0=v0)
+        return level[g]
 
     def mass(g: float, N: int) -> float:
-        key = (g, N)
-        if key not in cache:
-            cache[key] = solve(with_coupling(shape, g), m, alpha, L, N)[0]
-        return cache[key]
+        return state(g, N)[0]
+
+    def newton(g: float, N: int) -> float:
+        M, grid, u = state(g, N)
+        return g - M / _coupling_slope(shape, grid, u, L, N)
 
     history: list[tuple[float, float, int]] = []
-    iterations = 0
 
-    # initial bracket at the starting resolution
+    def converge(lo: float, hi: float, N: int) -> float:
+        """Newton from g_hi or chord from g_lo, whichever leaves the narrower
+        bracket, until the bracket is level_tol wide; returns a solved g."""
+        while True:
+            history.append((lo, hi, N))
+            m_lo, m_hi = mass(lo, N), mass(hi, N)
+            steps = []  # (width of the bracket the step leaves, g)
+            if hi - lo > level_tol * hi:
+                g = newton(hi, N)
+                if lo < g < hi:
+                    steps.append((g - lo, g))
+                g = lo - m_lo * (hi - lo) / (m_hi - m_lo)
+                if lo < g < hi:
+                    steps.append((hi - g, g))
+            if not steps:  # narrow enough, or both steps round onto an end
+                return lo if m_lo < -m_hi else hi
+            g = min(steps)[1]
+            M = mass(g, N)
+            if abs(M) <= floor:
+                return g
+            if M > 0.0:
+                lo = g
+            else:
+                hi = g
+
+    def bracket(g: float, N: int) -> tuple[float, float]:
+        """Bracket at a new level from the previous root g: a Newton step
+        from g, then reflections of g through the newest M < 0 end."""
+        lo = hi = None
+        trial = g
+        for _ in range(80):
+            M = mass(trial, N)
+            if abs(M) <= floor:
+                return trial, trial
+            if M > 0.0:
+                lo = trial
+            else:
+                hi = trial
+            if lo is not None and hi is not None:
+                return lo, hi
+            trial = newton(trial, N) if hi is None or hi == g else 2.0 * hi - g
+            if trial <= g_tol_rel * g:  # the root fell out of reach of g
+                break
+        raise BracketError(
+            f"crossing not bracketed from the previous root g = {g:g} at N = {N}"
+        )
+
+    # first level: double g from 1 until M < 0, then halve it until M > 0
     N = cfg.N
-    g_lo = g_hi = 1.0
+    lo = hi = 1.0
     for _ in range(80):
-        if mass(g_hi, N) < 0.0:
+        if mass(hi, N) < -floor:
             break
-        g_lo = g_hi
-        g_hi *= 2.0
+        lo = hi
+        hi *= 2.0
     else:
         raise BracketError("mass never crosses zero: coupling bracket not found")
     for _ in range(80):
-        if mass(g_lo, N) > 0.0:
+        if mass(lo, N) > floor:
             break
-        g_hi = g_lo
-        g_lo /= 2.0
+        hi = lo
+        lo /= 2.0
     else:
         raise BracketError("no positive-mass coupling found below the crossing")
+    if not mass(hi, N) < -floor:
+        raise BracketError(
+            f"bracket [{lo:g}, {hi:g}] misses M(g_lo) > 0 > M(g_hi) at N = {N}"
+        )
 
-    def bisect(lo: float, hi: float, N: int) -> tuple[float, float]:
-        nonlocal iterations
-        while hi - lo > g_tol_rel * hi:
-            history.append((lo, hi, N))
-            mid = 0.5 * (lo + hi)
-            if mass(mid, N) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        return lo, hi
-
+    gc = converge(lo, hi, N)
     gc_prev = None
-    while True:
-        # re-validate the bracket at this resolution, expanding if the root moved
-        width = max(g_hi - g_lo, g_tol_rel * g_hi)
-        step = width
-        for _ in range(80):
-            if mass(g_lo, N) > 0.0:
-                break
-            g_lo -= step
-            step *= 2.0
-            if g_lo <= 0.0:
-                g_lo = g_tol_rel * g_hi
-                break
-        step = width
-        for _ in range(80):
-            if mass(g_hi, N) < 0.0:
-                break
-            g_hi += step
-            step *= 2.0
-        if not mass(g_lo, N) > 0.0 > mass(g_hi, N):
-            raise BracketError(
-                f"bracket [{g_lo:g}, {g_hi:g}] lost M(g_lo) > 0 > M(g_hi) at N = {N}"
-            )
-        g_lo, g_hi = bisect(g_lo, g_hi, N)
-        gc = 0.5 * (g_lo + g_hi)
-        if gc_prev is not None and abs(gc - gc_prev) <= stability * gc:
-            residual = mass(gc, N)
-            return CriticalCouplingResult(
-                coupling=gc,
-                converged=True,
-                iterations=iterations,
-                bracket_history=history,
-                grid_count=N,
-                box_size=L,
-                tolerance=g_tol_rel,
-                mass_residual=residual,
-            )
-        gc_prev = gc
+    while gc_prev is None or abs(gc - gc_prev) > stability * gc:
         if 2 * N > cfg.max_grid:
             raise ConvergenceError(
                 f"critical coupling not stable under grid doubling at N = {N}"
             )
         N *= 2
+        gc_prev = gc
+        lo, hi = bracket(gc_prev, N)
+        gc = lo if lo == hi else converge(lo, hi, N)
+    return CriticalCouplingResult(
+        coupling=gc,
+        converged=True,
+        iterations=len(history),
+        bracket_history=history,
+        grid_count=N,
+        box_size=L,
+        tolerance=g_tol_rel,
+        mass_residual=mass(gc, N),
+    )

@@ -1,4 +1,4 @@
-"""Pseudospectral oracle: spectra, convergence, and the coupling bisection."""
+"""Pseudospectral oracle: spectra, convergence, and the coupling root."""
 
 import math
 
@@ -155,6 +155,20 @@ def test_nonconvergence_raises():
         sv.ground_state_3d_swave(E, cfg)
 
 
+def test_doubled_box_failure_raises(monkeypatch):
+    # converged at L = 20 with a flat state, whose tail forces a box doubling;
+    # the doubled box never converges, and the L = 20 result must not be
+    # returned in its place
+    def fake_solve(V, m, alpha, L, N, v0=None):
+        grid = np.arange(1, N) * (L / N)
+        return (1.0 if L == 20.0 else float(N)), grid, np.ones(N - 1)
+
+    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=64, max_grid=1024)
+    with pytest.raises(ConvergenceError, match=r"L = 40.*L = 20.*amplitude 1\b"):
+        sv.ground_state_3d_swave(ZERO, cfg)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         sv.SolverConfig(m=-1.0)
@@ -184,7 +198,7 @@ def test_iterative_path_matches_dense(dim, N):
     assert iterative == pytest.approx(dense, rel=1e-9)
 
 
-def test_critical_coupling_bisection():
+def test_critical_coupling_newton_chord():
     E = pot.exponential(1.0, 1.0)
     cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
     res = sv.critical_coupling_exact(E, 1.0, 2, cfg, g_tol_rel=1e-6)
@@ -204,12 +218,27 @@ def test_critical_coupling_bisection():
 def test_critical_coupling_rejects_lost_bracket(monkeypatch):
     # the root of M(g) = root - g jumps from 1 to 1e-9 past N = 128, below
     # the g_lo clamp of the re-validation, so no bracket exists at N = 256
-    def fake_solve(V, m, alpha, L, N):
+    def fake_solve(V, m, alpha, L, N, v0=None):
         return (1.0 if N <= 128 else 1e-9) - V.g, None, None
 
     monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
     cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
     with pytest.raises(BracketError):
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+
+
+def test_critical_coupling_rejects_root_jump(monkeypatch):
+    # with a unit Newton slope the root of M(g) = root - g is found exactly
+    # at N = 128; at N = 256 the Newton step from it lands at 1e-9, below
+    # g_tol_rel times the previous root, so the new level has no bracket
+    def fake_solve(V, m, alpha, L, N, v0=None):
+        grid = np.arange(1, N) * (L / N)
+        return (1.1 if N <= 128 else 1e-9) - V.g, grid, np.ones(N - 1)
+
+    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
+    monkeypatch.setattr(sv, "_coupling_slope", lambda *args: -1.0)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
+    with pytest.raises(BracketError, match="N = 256"):
         sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
 
 
@@ -227,3 +256,63 @@ def test_critical_coupling_beta_invariance():
     # (m, R) -> (2m, R/2) leaves beta = mR fixed; the discretized problem is
     # identical up to overall scale
     assert b.coupling == pytest.approx(a.coupling, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_hellmann_feynman_slope_matches_finite_difference(dim):
+    shape = pot.exponential(1.0, 1.0)
+    solve = sv.solve_once_3d if dim == 3 else sv.solve_once_1d
+    L, N, g, h = 20.0, 256, 5.0, 1e-4
+    _, grid, u = solve(pot.with_coupling(shape, g), 1.0, 2.0, L, N)
+    slope = sv._coupling_slope(shape, grid, u, L, N)
+    plus = solve(pot.with_coupling(shape, g + h), 1.0, 2.0, L, N)[0]
+    minus = solve(pot.with_coupling(shape, g - h), 1.0, 2.0, L, N)[0]
+    assert slope < 0.0
+    assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_warm_start_matches_cold_start(dim):
+    shape = pot.exponential(1.0, 1.0)
+    solve = sv.solve_once_3d if dim == 3 else sv.solve_once_1d
+    L, N, g = 20.0, 512, 6.0
+    V = pot.with_coupling(shape, g)
+    cold = solve(V, 1.0, 2.0, L, N)[0]
+    # start vectors as the coupling root makes them: a nearby coupling's
+    # state at the same N, and a coarser level's state interpolated
+    near = solve(pot.with_coupling(shape, 1.01 * g), 1.0, 2.0, L, N)[2]
+    _, grid, coarse = solve(V, 1.0, 2.0, L, N // 2)
+    for v0 in (near, sv._refine(grid, coarse, L, N, dim)):
+        warm = solve(V, 1.0, 2.0, L, N, v0=v0)[0]
+        assert warm == pytest.approx(cold, rel=1e-12)
+
+
+def test_critical_coupling_solve_count(monkeypatch):
+    calls = []
+    solve = sv.solve_once_3d
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "solve_once_3d", counted)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
+    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+    assert res.converged
+    assert len(calls) <= 32
+
+
+def test_critical_coupling_1d_brackets_survive_cold_solves():
+    shape = pot.exponential(1.0, 1.0)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, dimension=1, N=128)
+    # the |x| kink of V(|x|) converges only quadratically in the spacing
+    res = sv.critical_coupling_exact(
+        shape, cfg=cfg, g_tol_rel=1e-6, grid_stability_rel=1e-5
+    )
+    assert res.converged
+    assert res.iterations == len(res.bracket_history) > 0
+    for lo, hi, N in res.bracket_history:
+        assert lo < hi
+        m_lo = sv.solve_once_1d(pot.with_coupling(shape, lo), 1.0, 2.0, res.box_size, N)[0]
+        m_hi = sv.solve_once_1d(pot.with_coupling(shape, hi), 1.0, 2.0, res.box_size, N)[0]
+        assert m_lo > 0.0 > m_hi
