@@ -50,6 +50,7 @@ from .potentials import (
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _check_mass_alpha,
     combined_constant,
     green_constant_1d,
     green_constant_3d,
@@ -110,13 +111,6 @@ def _conjugate(q: float) -> float:
     return math.inf if q == 1.0 else q / (q - 1.0)
 
 
-def _check_m_alpha(m: float, alpha: float) -> None:
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m!r}")
-    if alpha not in (1, 2, 1.0, 2.0):
-        raise DomainError(f"alpha must be 1 or 2, got {alpha!r}")
-
-
 def _check_q(q: float, dim: int) -> None:
     hi = _Q_HI_3D if dim == 3 else _Q_HI_1D
     ok = (1.0 <= q < hi) if dim == 3 else (1.0 <= q <= hi)
@@ -172,7 +166,7 @@ def mass_bound_3d(
     A negative return is a vacuous bound (the inequality constrains |M| and
     is informative only while nonnegative); callers see the raw value.
     """
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     _check_q(q, 3)
     return alpha * m - _norm_term(V, m, q, 3, spec or DEFAULT_QUADRATURE)
 
@@ -185,7 +179,7 @@ def mass_bound_1d(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Lower bound on the ground-state mass at fixed exponent q (1D)."""
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     _check_q(q, 1)
     return alpha * m - _norm_term(V, m, q, 1, spec or DEFAULT_QUADRATURE)
 
@@ -290,7 +284,7 @@ def optimize_mass_bound_3d(
     q_points: int = 64,
 ) -> BoundReport:
     """Best 3D mass bound over the admissible exponent window."""
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     return _optimize(V, m, alpha, 3, spec, q_points)
 
 
@@ -302,7 +296,7 @@ def optimize_mass_bound_1d(
     q_points: int = 64,
 ) -> BoundReport:
     """Best 1D mass bound over the admissible exponent window."""
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     return _optimize(V, m, alpha, 1, spec, q_points)
 
 
@@ -332,7 +326,7 @@ def critical_coupling_bound_3d(
     ``check_scaling`` the result is recomputed at (2m, R/2) -- the same
     dimensionless combination m*R -- and the two are required to agree.
     """
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     spec = spec or DEFAULT_QUADRATURE
     shape = with_coupling(V, 1.0) if V.g != 1.0 else V
 
@@ -459,7 +453,7 @@ def confining_bound(
     variant follows the same construction with the 1D constants; it is an
     extension beyond the published three-dimensional procedure.
     """
-    _check_m_alpha(m, alpha)
+    _check_mass_alpha(m, alpha)
     if dim not in (1, 3):
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
     spec = spec or DEFAULT_QUADRATURE

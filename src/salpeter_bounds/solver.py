@@ -37,6 +37,7 @@ from scipy.fft import dst
 
 from .errors import BracketError, ConvergenceError, DomainError
 from .potentials import PotentialModel, evaluate, length_scale, with_coupling
+from .specfun import _check_mass_alpha
 
 __all__ = [
     "SolverConfig",
@@ -72,10 +73,7 @@ class SolverConfig:
     max_box_doublings: int = 4
 
     def __post_init__(self):
-        if not self.m > 0.0:
-            raise DomainError(f"mass must be positive, got {self.m!r}")
-        if self.alpha not in (1, 2, 1.0, 2.0):
-            raise DomainError(f"alpha must be 1 or 2, got {self.alpha!r}")
+        _check_mass_alpha(self.m, self.alpha)
         if self.dimension not in (1, 3):
             raise DomainError(f"dimension must be 1 or 3, got {self.dimension!r}")
         if self.N < 16:

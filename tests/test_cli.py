@@ -105,7 +105,7 @@ def test_critical_exact_and_csv(tmp_path, capsys):
     )
     assert code == 0
     bound = float(text.split("lower bound:")[1].split()[0])
-    exact = float(text.split("(bisection):")[1].split()[0])
+    exact = float(text.split("g_c exact:")[1].split()[0])
     assert bound <= exact
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "beta,gc_lower_bound,gc_exact"
@@ -147,6 +147,64 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["bound3d", "--config", str(cfg), "--q", "1.0"], capsys)
     assert str(exc.value) == f"{cfg}:2: unknown key 'gee'"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("method = exactt", "invalid value 'exactt' for 'method' (expected bound | exact | both)"),
+    ("N = 12.5", "invalid value '12.5' for 'N' (expected int)"),
+    ("alpha = 3", "invalid value '3' for 'alpha' (expected 1 | 2)"),
+])
+def test_config_file_rejects_bad_value(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"g = 2.0\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["critical", "--method", "bound", "--config", str(cfg)], capsys)
+    assert str(exc.value) == f"{cfg}:2: {message}"
+
+
+def test_config_file_keys_a_command_does_not_take_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 64\nbeta_grid = 1:2:2\nm = 1.0\n")
+    out = tmp_path / "b.csv"
+    code, _, _ = run_cli(["bound3d", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 0
+    config = out.read_text().splitlines()[2]
+    assert " m=1 " in config
+    assert "N=" not in config and "beta_grid=" not in config
+
+
+def test_fixed_q_with_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bound3d", "--potential", "exp", "--q", "1.0", "--out", str(out)], capsys)
+    assert exc.value.code != 0
+    assert "--q" in str(exc.value) and "--out" in str(exc.value)
+    assert not out.exists()
+
+
+def test_critical_csv_echoes_every_option_it_uses(tmp_path, capsys):
+    out = tmp_path / "crit.csv"
+    code, _, _ = run_cli(
+        ["critical", "--potential", "exp", "--method", "bound", "--out", str(out)], capsys
+    )
+    assert code == 0
+    config = out.read_text().splitlines()[2]
+    assert config.startswith("# config: ")
+    assert " N=256 " in config and " quad_abs_tol=1e-10 " in config
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound3d", "--eigen-tol", "1e-6"],
+    ["confining", "--g-bisect-tol", "1e-6"],
+    ["solve", "--quad-abs-tol", "1e-8"],
+    ["fig1", "--m", "2"],
+    ["fig2", "--g-bisect-tol", "1e-6"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fig1_sweep_validity_and_determinism(tmp_path, capsys):
