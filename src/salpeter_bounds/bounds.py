@@ -71,6 +71,7 @@ __all__ = [
 
 _Q_HI_3D = 1.5
 _Q_HI_1D = 2.0
+_Q_POINTS = 64  # grid points over the admissible q window before refinement
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,13 @@ def _minimize_term(term, grid) -> tuple[float, float]:
     return q_best, t_best
 
 
-def _optimize(V, m, alpha, dim, spec, q_points) -> BoundReport:
+def _optimize(V, m, alpha, dim, spec) -> BoundReport:
     spec = spec or DEFAULT_QUADRATURE
 
     def term(q):
         return _norm_term(V, m, q, dim, spec)
 
-    q_opt, t_opt = _minimize_term(term, _q_grid(dim, q_points))
+    q_opt, t_opt = _minimize_term(term, _q_grid(dim, _Q_POINTS))
     mass_bound = alpha * m - t_opt
     sup = sup_negative(V)
     trivial = alpha * m - sup if math.isfinite(sup) else -math.inf
@@ -281,11 +282,10 @@ def optimize_mass_bound_3d(
     m: float,
     alpha: float,
     spec: QuadratureSpec | None = None,
-    q_points: int = 64,
 ) -> BoundReport:
     """Best 3D mass bound over the admissible exponent window."""
     _check_mass_alpha(m, alpha)
-    return _optimize(V, m, alpha, 3, spec, q_points)
+    return _optimize(V, m, alpha, 3, spec)
 
 
 def optimize_mass_bound_1d(
@@ -293,11 +293,10 @@ def optimize_mass_bound_1d(
     m: float,
     alpha: float,
     spec: QuadratureSpec | None = None,
-    q_points: int = 64,
 ) -> BoundReport:
     """Best 1D mass bound over the admissible exponent window."""
     _check_mass_alpha(m, alpha)
-    return _optimize(V, m, alpha, 1, spec, q_points)
+    return _optimize(V, m, alpha, 1, spec)
 
 
 def binding_energy_bound_3d(
@@ -305,10 +304,9 @@ def binding_energy_bound_3d(
     m: float,
     alpha: float,
     spec: QuadratureSpec | None = None,
-    q_points: int = 64,
 ) -> float:
     """Lower bound on the binding energy E = M - alpha m (3D, optimized q)."""
-    return optimize_mass_bound_3d(V, m, alpha, spec, q_points).energy_bound
+    return optimize_mass_bound_3d(V, m, alpha, spec).energy_bound
 
 
 def critical_coupling_bound_3d(
@@ -316,15 +314,11 @@ def critical_coupling_bound_3d(
     m: float,
     alpha: float,
     spec: QuadratureSpec | None = None,
-    q_points: int = 64,
-    check_scaling: bool = False,
 ) -> float:
     """Lower limit on the critical coupling at which the ground-state mass
     vanishes, for the potential family g * (V / V.g).
 
-    Returns math.inf when the shape has no attractive part.  With
-    ``check_scaling`` the result is recomputed at (2m, R/2) -- the same
-    dimensionless combination m*R -- and the two are required to agree.
+    Returns math.inf when the shape has no attractive part.
     """
     _check_mass_alpha(m, alpha)
     spec = spec or DEFAULT_QUADRATURE
@@ -333,23 +327,10 @@ def critical_coupling_bound_3d(
     def term(q):
         return _norm_term(shape, m, q, 3, spec)
 
-    q_opt, t_opt = _minimize_term(term, _q_grid(3, q_points))
+    _, t_opt = _minimize_term(term, _q_grid(3, _Q_POINTS))
     if t_opt == 0.0:
         return math.inf
-    result = alpha * m / t_opt
-    if check_scaling:
-        if shape.table is not None:
-            raise DomainError("scaling check needs a parametric potential")
-        import dataclasses
-
-        scaled = dataclasses.replace(shape, R=shape.R / 2.0)
-        other = critical_coupling_bound_3d(scaled, 2.0 * m, alpha, spec, q_points)
-        if abs(other - result) > 1e-8 * abs(result):
-            raise ConvergenceError(
-                f"critical-coupling bound changed under (m, R) -> (2m, R/2): "
-                f"{result!r} vs {other!r}"
-            )
-    return result
+    return alpha * m / t_opt
 
 
 def _has_decaying_tail(V: PotentialModel) -> bool:
@@ -442,7 +423,6 @@ def confining_bound(
     alpha: float,
     spec: QuadratureSpec | None = None,
     dim: int = 3,
-    q_points: int = 64,
 ) -> TruncationResult:
     """Lower bound M >= C* for potentials handled through the cutoff-and-shift
     construction (the route required when the attractive-part norm of V itself
@@ -457,7 +437,7 @@ def confining_bound(
     if dim not in (1, 3):
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
     spec = spec or DEFAULT_QUADRATURE
-    grid = _q_grid(dim, q_points)
+    grid = _q_grid(dim, _Q_POINTS)
 
     def neg_c_star(q: float) -> float:
         c, _, _ = cutoff_for_exponent(V, m, alpha, q, dim, spec)

@@ -133,7 +133,10 @@ def _parse_grid(text, kind) -> list[float]:
 
 
 def _parse_list(text) -> list[float]:
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise SystemExit(f"bad list {text!r}; expected numbers separated by commas") from None
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise SystemExit(f"list {text!r} must be nonempty and strictly increasing")
     return values
@@ -331,8 +334,12 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     given = _load_config_file(args.config) if args.config else {}
     given.update((key, value) for key, value in vars(args).items() if value is not None)
     opts.update((key, value) for key, value in given.items() if key in cmd.options)
-    if opts["workers"] is None:
-        opts["workers"] = int(os.environ.get("SALPETER_BOUNDS_WORKERS", 0)) or os.cpu_count() or 1
+    if "workers" in cmd.options and opts["workers"] is None:
+        env = os.environ.get("SALPETER_BOUNDS_WORKERS", "")
+        try:
+            opts["workers"] = int(env or 0) or os.cpu_count() or 1
+        except ValueError:
+            raise SystemExit(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer") from None
     return opts
 
 

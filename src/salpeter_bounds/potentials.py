@@ -12,9 +12,11 @@ usage reads the same shapes as even functions of |x| with measure dx over the
 whole line.  Units throughout are GeV-based natural units (hbar = c = 1):
 r and R in GeV^-1, V and C in GeV, g dimensionless.
 
-Norms of the negative part V^- = max(0, -V) use Gamma-function closed forms
-for the parametric kinds and singularity-aware quadrature otherwise; both
-routes are exposed so they can be cross-checked.
+Each kind has one route for the norms of V^- = max(0, -V) and of the
+cutoff-and-shift part (C - V)^+: Gamma closed forms for exp/pexp/sing at
+C = 0 and for log at every C, singularity-aware quadrature for exp/pexp/sing
+below C = 0, and piecewise quadrature for tables.  ``_quadrature_norm`` also
+covers C = 0 and log, as the independent check of the closed forms.
 """
 
 from __future__ import annotations
@@ -242,15 +244,22 @@ def length_scale(V: PotentialModel) -> float:
     return V.R
 
 
-def _check_norm_args(s: float, dim: int) -> None:
+def _check_norm_args(V: PotentialModel, s: float, dim: int) -> None:
     if dim not in (1, 3):
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
     if math.isnan(s) or not s > 1.0:
         raise DomainError(f"norm exponent must satisfy s > 1, got {s!r}")
+    # V^- and every (C - V)^+ of the singular kind behave like r^(-1/2) at 0
+    limit = 6.0 if dim == 3 else 2.0
+    if V.kind is PotentialKind.SINGULAR and s >= limit:
+        raise DivergentNormError(
+            f"singular potential: |V^-|^s ~ r^(-s/2) is not integrable in {dim}D "
+            f"for s = {s:g} >= {limit:g}"
+        )
 
 
 def _closed_form_norm(V: PotentialModel, s: float, dim: int) -> float:
-    """log-space Gamma closed forms; exact for the four parametric kinds."""
+    """log-space Gamma closed forms of ||V^-||_s for exp, pexp and sing."""
     g, R = V.g, V.R
     if dim == 3:
         if V.kind is PotentialKind.EXPONENTIAL:
@@ -259,38 +268,30 @@ def _closed_form_norm(V: PotentialModel, s: float, dim: int) -> float:
             inner = (
                 math.log(4.0 * math.pi) + math.lgamma(s + 3.0) - (s + 3.0) * math.log(s)
             )
-        elif V.kind is PotentialKind.SINGULAR:
-            if s >= 6.0:
-                raise DivergentNormError(
-                    f"singular potential: |V^-|^s ~ r^(-s/2) is not integrable in 3D "
-                    f"for s = {s:g} >= 6"
-                )
-            inner = (
-                math.log(4.0 * math.pi)
-                + math.lgamma(3.0 - s / 2.0)
-                + (3.0 - s / 2.0) * -math.log(s)
-            )
-        else:  # LOGARITHMIC: support of V^- is r < R
-            inner = (
-                math.log(4.0 * math.pi)
-                + math.lgamma(s + 1.0)
-                - (s + 1.0) * math.log(3.0)
-            )
+        else:  # SINGULAR
+            inner = (math.log(4.0 * math.pi) + math.lgamma(3.0 - s / 2.0)
+                     + (3.0 - s / 2.0) * -math.log(s))
         return g * math.exp((3.0 / s - 1.0) * math.log(R) + inner / s)
     if V.kind is PotentialKind.EXPONENTIAL:
         inner = math.log(2.0) - math.log(s)
     elif V.kind is PotentialKind.POWER_EXPONENTIAL:
         inner = math.log(2.0) + math.lgamma(s + 1.0) - (s + 1.0) * math.log(s)
-    elif V.kind is PotentialKind.SINGULAR:
-        if s >= 2.0:
-            raise DivergentNormError(
-                f"singular potential: |V^-|^s ~ |x|^(-s/2) is not integrable in 1D "
-                f"for s = {s:g} >= 2"
-            )
+    else:  # SINGULAR
         inner = math.log(2.0) + math.lgamma(1.0 - s / 2.0) + (1.0 - s / 2.0) * -math.log(s)
-    else:  # LOGARITHMIC
-        inner = math.log(2.0) + math.lgamma(s + 1.0)
     return g * math.exp((1.0 / s - 1.0) * math.log(R) + inner / s)
+
+
+def _log_norm(V: PotentialModel, C: float, s: float, dim: int) -> float:
+    """Gamma closed form of ||(C - V)^+||_s for the logarithmic kind, any C:
+    (C - V)(r) = (g/R) ln(b/r) on r < b = R e^(CR/g)."""
+    g, R = V.g, V.R
+    b = _shifted_support(V, C)[1]
+    if dim == 3:
+        ln_power = (s * math.log(g / R) + 3.0 * math.log(b) + math.log(4.0 * math.pi)
+                    + math.lgamma(s + 1.0) - (s + 1.0) * math.log(3.0))
+    else:
+        ln_power = s * math.log(g / R) + math.log(2.0 * b) + math.lgamma(s + 1.0)
+    return math.exp(ln_power / s)
 
 
 def _weight(dim: int, r):
@@ -302,7 +303,7 @@ def _log_head_norm(amp: float, scale: float, s: float, dim: int, spec) -> float:
     #   power = w_const * amp^s * scale^dim * int_0^inf t^s e^(-dim t) dt,
     # assembled in log space.  The t-integral is evaluated in plain double
     # precision, which limits this independent-quadrature route to moderate s
-    # (the closed forms cover every s).
+    # (the closed form covers every s).
     if s > 100.0:
         raise ConvergenceError(
             "quadrature route for logarithmic norms supports s <= 100; "
@@ -360,60 +361,20 @@ def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
     return replace(spec, rel_tol=slack)
 
 
-def _norm_quadrature(V: PotentialModel, s: float, dim: int, spec) -> float:
-    """||V^-||_s by quadrature.  The integrand is scaled by the sup of V^-
-    (when finite) so that arbitrarily large exponents cannot overflow."""
-    g, R = V.g, V.R
-    if V.kind is PotentialKind.LOGARITHMIC:
-        return _log_head_norm(g / R, R, s, dim, spec)
-    if V.kind is PotentialKind.TABULATED:
-        return _table_norm(V, s, dim, spec, cutoff=None)
-    spec = _power_spec(spec, s)
-    sup = sup_negative(V)
-    if sup == 0.0:
-        return 0.0
-    k = sup if math.isfinite(sup) else 1.0
-
-    def f(r):
-        return _weight(dim, r) * _scaled_power(max(0.0, -evaluate(V, r)), k, s)
-
-    if V.kind is PotentialKind.SINGULAR:
-        if (dim == 3 and s >= 6.0) or (dim == 1 and s >= 2.0):
-            raise DivergentNormError(
-                f"singular potential negative part is not in L^{s:g} in {dim}D"
-            )
-        # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
-        # in 3D and u^(1-s) in 1D; see _singular_head_integrand
-        def head(u):
-            return _singular_head_integrand(
-                u, max(0.0, -evaluate(V, u * u)) if u > 0.0 else 0.0, k, s, dim
-            )
-
-        total = _quad(head, 0.0, math.sqrt(R), spec, spec.abs_tol / 4.0)
-        total += _tail(f, R, spec, spec.abs_tol)
-    else:
-        total = _quad(f, 0.0, R, spec, spec.abs_tol / 4.0)
-        total += _tail(f, R, spec, spec.abs_tol)
-    return k * total ** (1.0 / s)
-
-
-def _table_norm(
-    V: PotentialModel, s: float, dim: int, spec, cutoff: float | None
-) -> float:
-    """Tabulated-potential norm, optionally of (C - V)^+ when cutoff is
-    given, integrating piecewise between knots and sign changes."""
-    if cutoff is not None and cutoff > 0.0:
+def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
+    """||(C - V)^+||_s of a tabulated potential (C = 0 gives ||V^-||_s),
+    integrating piecewise between knots and sign changes."""
+    if C > 0.0:
         # the potential vanishes beyond the table, so (C - V)^+ -> C there
         raise DivergentNormError(
             "cutoff above the potential's vanishing tail: (C - V)^+ does not decay"
         )
     spec = _power_spec(spec, s)
     interp = _interpolant(V)
-    level = (0.0 if cutoff is None else cutoff) / V.g
+    level = C / V.g
 
     def base(r):
-        v = V.g * float(interp(r))
-        return max(0.0, -v) if cutoff is None else max(0.0, cutoff - v)
+        return max(0.0, C - V.g * float(interp(r)))
 
     # monotone interpolation attains its extrema at the knots
     knot_sup = max((base(r) for r, _ in V.table), default=0.0)
@@ -448,8 +409,7 @@ def _table_norm(
             )
 
         def head_base(r):
-            v = v0 * (r / r0) ** p
-            return max(0.0, -v) if cutoff is None else max(0.0, cutoff - v)
+            return max(0.0, C - v0 * (r / r0) ** p)
 
         if any(head_base(r) > 0.0 for r in (r0 * 1e-6, r0 * 0.5, r0 * 0.999999)):
             total += _quad(
@@ -464,40 +424,12 @@ def _table_norm(
     return k * total ** (1.0 / s)
 
 
-def negative_part_norm(
-    V: PotentialModel,
-    s: float,
-    dim: int = 3,
-    spec: QuadratureSpec | None = None,
-    method: str = "auto",
-) -> float:
-    """||V^-||_s with the radial measure 4 pi r^2 dr in 3D and dx over the
-    line in 1D.  ``s = math.inf`` returns the sup norm.
-
-    method: "auto" uses the Gamma closed forms for the parametric kinds and
-    quadrature otherwise; "quadrature" forces the quadrature route (used for
-    cross-checks); "closed_form" fails for tabulated input.
-    """
-    if s == math.inf:
-        return sup_negative(V)
-    _check_norm_args(s, dim)
-    spec = spec or DEFAULT_QUADRATURE
-    if method not in ("auto", "quadrature", "closed_form"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "closed_form" or (
-        method == "auto" and V.kind is not PotentialKind.TABULATED
-    ):
-        if V.kind is PotentialKind.TABULATED:
-            raise DomainError("no closed form for tabulated potentials")
-        return _closed_form_norm(V, s, dim)
-    return _norm_quadrature(V, s, dim, spec)
-
-
 def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     """Support interval (a, b) of (C - V)^+ for the parametric kinds.
 
-    Raises DivergentNormError when the support is unbounded (C above the
-    large-r limit of a decaying potential).
+    b is infinite at C = 0 for the decaying kinds, where (C - V)^+ = V^-.
+    Raises DivergentNormError when C is above the large-r limit of a
+    decaying potential.
     """
     g, R = V.g, V.R
     if V.kind is PotentialKind.LOGARITHMIC:
@@ -507,6 +439,8 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
             f"cutoff C = {C:g} > 0: (C - V)^+ tends to C at large r and its "
             "norm diverges for a decaying potential"
         )
+    if C == 0.0:
+        return 0.0, math.inf
     if V.kind is PotentialKind.EXPONENTIAL:
         if C <= -g / R:
             return 0.0, 0.0
@@ -538,16 +472,14 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     return r1, r2
 
 
-def _truncated_norm_quadrature(
-    T: TruncatedPotential, s: float, dim: int, spec, prefer_closed: bool
-) -> float:
-    V, C = T.base, T.cutoff
-    if V.kind is PotentialKind.TABULATED:
-        return _table_norm(V, s, dim, spec, cutoff=C)
-    if C == 0.0 and V.kind is not PotentialKind.LOGARITHMIC:
-        # (0 - V)^+ = V^-: identical to the plain norm
-        method = "auto" if prefer_closed else "quadrature"
-        return negative_part_norm(V, s, dim, spec, method=method)
+def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> float:
+    """||(C - V)^+||_s by quadrature over its support, for the parametric kinds
+    (C <= 0 unless logarithmic; C = 0 gives ||V^-||_s).
+
+    The production route for exp/pexp/sing below the cap C = 0, and the
+    reference the closed forms are tested against.  The integrand is scaled
+    by C - min V (when finite) so that large exponents cannot overflow.
+    """
     a, b = _shifted_support(V, C)
     if b <= a:
         return 0.0
@@ -563,27 +495,22 @@ def _truncated_norm_quadrature(
         return _weight(dim, r) * _scaled_power(max(0.0, C - evaluate(V, r)), k, s)
 
     if V.kind is PotentialKind.SINGULAR:
-        if (dim == 3 and s >= 6.0) or (dim == 1 and s >= 2.0):
-            raise DivergentNormError(
-                f"truncated singular potential still has r^(-s/2) behavior; "
-                f"not integrable for s = {s:g} in {dim}D"
-            )
         split = min(b, V.R)
 
         # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
         # in 3D and u^(1-s) in 1D; see _singular_head_integrand
         def head(u):
-            return _singular_head_integrand(
-                u,
-                max(0.0, C - evaluate(V, u * u)) if u > 0.0 else 0.0,
-                k,
-                s,
-                dim,
-            )
+            base = max(0.0, C - evaluate(V, u * u)) if u > 0.0 else 0.0
+            return _singular_head_integrand(u, base, k, s, dim)
 
         total = _quad(head, 0.0, math.sqrt(split), spec, spec.abs_tol / 4.0)
-        if b > split:
+        if b == math.inf:
+            total += _tail(f, split, spec, spec.abs_tol)
+        elif b > split:
             total += _quad(f, split, b, spec, spec.abs_tol / 4.0)
+    elif b == math.inf:
+        total = _quad(f, 0.0, V.R, spec, spec.abs_tol / 4.0)
+        total += _tail(f, V.R, spec, spec.abs_tol)
     else:
         total = _quad(f, a, b, spec, spec.abs_tol / 2.0)
     if total == 0.0:
@@ -591,40 +518,39 @@ def _truncated_norm_quadrature(
     return k * total ** (1.0 / s)
 
 
+def negative_part_norm(
+    V: PotentialModel, s: float, dim: int = 3, spec: QuadratureSpec | None = None
+) -> float:
+    """||V^-||_s with the radial measure 4 pi r^2 dr in 3D and dx over the
+    line in 1D.  ``s = math.inf`` returns the sup norm.
+
+    V^- = (0 - V)^+, so this is the truncated norm at C = 0: Gamma closed
+    forms for the parametric kinds, piecewise quadrature for tables.
+    """
+    return truncated_negative_norm(TruncatedPotential(V, 0.0), s, dim, spec)
+
+
 def truncated_negative_norm(
-    T: TruncatedPotential,
-    s: float,
-    dim: int = 3,
-    spec: QuadratureSpec | None = None,
-    method: str = "auto",
+    T: TruncatedPotential, s: float, dim: int = 3, spec: QuadratureSpec | None = None
 ) -> float:
     """||(min(V, C) - C)^-||_s = ||(C - V)^+||_s.
 
-    Strictly increasing and continuous in C wherever finite.  The logarithmic
-    kind uses a closed form (support r < R e^(CR/g)); other kinds integrate
-    over the support of (C - V)^+.  ``s = math.inf`` gives C - min(V).
+    Strictly increasing and continuous in C wherever finite.  One route per
+    kind: the logarithmic kind uses a closed form (support r < R e^(CR/g))
+    for every C; exp/pexp/sing use the closed form of ||V^-||_s at C = 0 and
+    quadrature over the support of (C - V)^+ below it; tables integrate
+    piecewise.  ``s = math.inf`` gives C - min(V).
     """
     V, C = T.base, T.cutoff
     if s == math.inf:
         return max(0.0, C - min_value(V))
-    _check_norm_args(s, dim)
+    _check_norm_args(V, s, dim)
     spec = spec or DEFAULT_QUADRATURE
-    if method not in ("auto", "quadrature", "closed_form"):
-        raise DomainError(f"unknown method {method!r}")
-    if V.kind is PotentialKind.LOGARITHMIC and method in ("auto", "closed_form"):
-        g, R = V.g, V.R
-        b = R * math.exp(C * R / g)
-        if dim == 3:
-            ln_power = (
-                s * math.log(g / R)
-                + 3.0 * math.log(b)
-                + math.log(4.0 * math.pi)
-                + math.lgamma(s + 1.0)
-                - (s + 1.0) * math.log(3.0)
-            )
-        else:
-            ln_power = s * math.log(g / R) + math.log(2.0 * b) + math.lgamma(s + 1.0)
-        return math.exp(ln_power / s)
-    if method == "closed_form":
-        raise DomainError(f"no closed form for truncated {V.kind.value} norms")
-    return _truncated_norm_quadrature(T, s, dim, spec, prefer_closed=method == "auto")
+    if V.kind is PotentialKind.LOGARITHMIC:
+        return _log_norm(V, C, s, dim)
+    if V.kind is PotentialKind.TABULATED:
+        return _table_norm(V, s, dim, spec, C)
+    if C == 0.0:
+        # (0 - V)^+ = V^-
+        return _closed_form_norm(V, s, dim)
+    return _quadrature_norm(V, C, s, dim, spec)

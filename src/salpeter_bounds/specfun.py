@@ -141,29 +141,24 @@ class YoungExponents:
         return e / (e - 1.0)
 
 
+# QUADPACK subdivision limit per integral, and the tail policy: the range
+# beyond a start point is integrated in chunks growing by _TAIL_GROWTH until
+# one contributes less than abs_tol/8, failing if _TAIL_CAP is reached first
+_MAX_SUBDIVISIONS = 200
+_TAIL_GROWTH = 2.0
+_TAIL_CAP = 4000.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error control for the semi-infinite norm integrals.
-
-    ``tail_growth``/``tail_cap`` define the upper cutoff policy: the range
-    beyond the first unit interval is integrated in geometrically growing
-    chunks until a chunk contributes less than ``abs_tol/8``, failing if the
-    cap is reached first.
-    """
+    """Error control for the norm integrals: absolute and relative tolerance."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_growth: float = 2.0
-    tail_cap: float = 4000.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.tail_growth <= 1.0 or self.tail_cap <= 1.0:
-            raise DomainError("tail policy requires growth > 1 and cap > 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -324,7 +319,7 @@ def _quad(f, a: float, b: float, spec: QuadratureSpec, abs_tol: float) -> float:
             b,
             epsabs=abs_tol,
             epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
         )
     # the guard flags integrations that genuinely failed; requested-tolerance
     # conformance is covered by the analytic anchor tests
@@ -341,8 +336,8 @@ def _tail(f, start: float, spec: QuadratureSpec, abs_tol: float) -> float:
     # chunk falls below abs_tol/8; the integrands here decay exponentially.
     total = 0.0
     a = start
-    while a < spec.tail_cap:
-        b = min(a * spec.tail_growth, spec.tail_cap)
+    while a < _TAIL_CAP:
+        b = min(a * _TAIL_GROWTH, _TAIL_CAP)
         chunk = _quad(f, a, b, spec, abs_tol / 8.0)
         total += chunk
         if abs(chunk) < abs_tol / 8.0:
@@ -350,7 +345,7 @@ def _tail(f, start: float, spec: QuadratureSpec, abs_tol: float) -> float:
         a = b
     raise ConvergenceError(
         f"tail integral still contributing above {abs_tol:.1e} at cutoff "
-        f"{spec.tail_cap:g}; raise tail_cap or loosen tolerances"
+        f"{_TAIL_CAP:g}; loosen the tolerances"
     )
 
 

@@ -164,9 +164,6 @@ def test_critical_coupling_scaling_invariance():
     a = bd.critical_coupling_bound_3d(E, 1.0, 2)
     b = bd.critical_coupling_bound_3d(pot.exponential(1.0, 0.5), 2.0, 2)
     assert b == pytest.approx(a, rel=1e-10)
-    assert bd.critical_coupling_bound_3d(E, 1.0, 2, check_scaling=True) == pytest.approx(
-        a, rel=1e-12
-    )
 
 
 def test_critical_coupling_no_attractive_part():

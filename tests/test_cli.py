@@ -281,13 +281,27 @@ def test_grid_parsing_errors():
 
 
 def test_workers_env_var(monkeypatch, zero_table, capsys):
-    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "1")
+    # only the sweep commands read the variable; a bad value must not stop solve
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "abc")
     code, _, _ = run_cli(
         ["solve", "--potential", f"table:{zero_table}", "--m", "1", "--alpha", "2",
          "--L", "20", "--N", "64"],
         capsys,
     )
     assert code == 0
+
+
+def test_list_parsing_error_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", "--g-list", "0.5,x", "--m-grid", "1:2:2"])
+    assert exc.value.code == "bad list '0.5,x'; expected numbers separated by commas"
+
+
+def test_workers_env_var_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:2:2", "--N", "128"])
+    assert exc.value.code == "SALPETER_BOUNDS_WORKERS='abc' is not an integer"
 
 
 def test_unknown_potential_exits():

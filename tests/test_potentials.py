@@ -98,7 +98,7 @@ def test_quadrature_matches_closed_form(make, dim, s):
         pytest.skip("norm diverges there")
     V = make(1.3, 0.7)
     cf = pot.negative_part_norm(V, s, dim)
-    qd = pot.negative_part_norm(V, s, dim, method="quadrature")
+    qd = pot._quadrature_norm(V, 0.0, s, dim, QuadratureSpec())
     assert qd == pytest.approx(cf, rel=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_logarithmic_quadrature_rejects_large_exponent():
     # the double-precision quadrature route stops at s = 100; the closed form
     # covers larger exponents
     with pytest.raises(ConvergenceError):
-        pot.negative_part_norm(pot.logarithmic(1.0, 1.0), 150.0, 3, method="quadrature")
+        pot._quadrature_norm(pot.logarithmic(1.0, 1.0), 0.0, 150.0, 3, QuadratureSpec())
     assert pot.negative_part_norm(pot.logarithmic(1.0, 1.0), 150.0, 3) > 0.0
 
 
@@ -156,8 +156,6 @@ def test_norm_domain_checks():
         pot.negative_part_norm(V, 1.0, 3)
     with pytest.raises(DomainError):
         pot.negative_part_norm(V, 2.0, 2)
-    with pytest.raises(DomainError):
-        pot.negative_part_norm(V, 2.0, 3, method="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +234,7 @@ def test_truncated_log_closed_form_anchor():
     want = math.sqrt(4.0 * math.pi * 2.0 / 27.0)
     got = pot.truncated_negative_norm(TruncatedPotential(L, 0.0), 2.0, 3)
     assert got == pytest.approx(want, rel=1e-13)
-    quadrature = pot.truncated_negative_norm(
-        TruncatedPotential(L, 0.0), 2.0, 3, method="quadrature"
-    )
+    quadrature = pot._quadrature_norm(L, 0.0, 2.0, 3, QuadratureSpec())
     assert quadrature == pytest.approx(want, rel=1e-10)
 
 
@@ -247,21 +243,30 @@ def test_truncated_log_closed_form_anchor():
 def test_truncated_log_closed_vs_quadrature(C, s):
     L = pot.logarithmic(0.7, 2.5)
     cf = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 3)
-    qd = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 3, method="quadrature")
+    qd = pot._quadrature_norm(L, C, s, 3, QuadratureSpec())
     assert qd == pytest.approx(cf, rel=1e-10)
     cf1 = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 1)
-    qd1 = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 1, method="quadrature")
+    qd1 = pot._quadrature_norm(L, C, s, 1, QuadratureSpec())
     assert qd1 == pytest.approx(cf1, rel=1e-10)
 
 
 def test_truncation_at_zero_cutoff_matches_plain_norm():
-    # C = 0 never truncates a nonpositive potential: (C - V)^+ = V^-
-    for make in (pot.exponential, pot.power_exponential):
+    # C = 0 never truncates a nonpositive potential: (C - V)^+ = V^-.  Just
+    # below it the quadrature route takes over from the closed form; the
+    # norm must not jump there, since the cutoff root probes both sides
+    for make in (pot.exponential, pot.power_exponential, pot.singular):
         V = make(1.0, 1.0)
-        for s in (1.5, 2.0, 4.0):
-            a = pot.truncated_negative_norm(TruncatedPotential(V, 0.0), s, 3)
-            b = pot.negative_part_norm(V, s, 3)
-            assert a == pytest.approx(b, rel=1e-10)
+        for dim in (3, 1):
+            for s in (1.5, 2.0, 4.0):
+                if make is pot.singular and dim == 1 and s >= 2.0:
+                    continue  # diverges
+                b = pot.negative_part_norm(V, s, dim)
+                a = pot.truncated_negative_norm(TruncatedPotential(V, 0.0), s, dim)
+                assert a == pytest.approx(b, rel=1e-10)
+                below = TruncatedPotential(V, -1e-9 * V.g / V.R)
+                assert pot.truncated_negative_norm(below, s, dim) == pytest.approx(
+                    b, rel=1e-6
+                )
 
 
 def test_truncation_below_minimum_gives_zero():
