@@ -334,7 +334,7 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     given = _load_config_file(args.config) if args.config else {}
     given.update((key, value) for key, value in vars(args).items() if value is not None)
     opts.update((key, value) for key, value in given.items() if key in cmd.options)
-    if "workers" in cmd.options and opts["workers"] is None:
+    if opts["workers"] is None:
         env = os.environ.get("SALPETER_BOUNDS_WORKERS", "")
         try:
             opts["workers"] = int(env or 0) or os.cpu_count() or 1

@@ -281,8 +281,7 @@ def test_grid_parsing_errors():
 
 
 def test_workers_env_var(monkeypatch, zero_table, capsys):
-    # only the sweep commands read the variable; a bad value must not stop solve
-    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "abc")
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "1")
     code, _, _ = run_cli(
         ["solve", "--potential", f"table:{zero_table}", "--m", "1", "--alpha", "2",
          "--L", "20", "--N", "64"],
@@ -295,6 +294,24 @@ def test_list_parsing_error_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5,x", "--m-grid", "1:2:2"])
     assert exc.value.code == "bad list '0.5,x'; expected numbers separated by commas"
+
+
+def test_workers_env_var_sets_sweep_workers(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "1")
+    calls = []
+    run_sweep = cli._run_sweep
+
+    def spy(jobs, worker, workers):
+        calls.append(workers)
+        return run_sweep(jobs, worker, workers)
+
+    monkeypatch.setattr(cli, "_run_sweep", spy)
+    out = tmp_path / "fig2.csv"
+    code, _, _ = run_cli(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--N", "128",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert calls == [1]
+    assert len([line for line in out.read_text().splitlines() if not line.startswith("#")]) == 2
 
 
 def test_workers_env_var_must_be_an_integer(monkeypatch):
