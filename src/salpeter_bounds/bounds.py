@@ -395,8 +395,9 @@ def cutoff_for_exponent(
 
     if cap is not None:
         top = cap
-        if lhs(top) <= 1.0:
-            return top, abs(lhs(top) - 1.0), True
+        at_top = lhs(top)
+        if at_top <= 1.0:
+            return top, abs(at_top - 1.0), True
     else:
         top = max(scale, c_lo + scale)
         for _ in range(200):
@@ -438,10 +439,11 @@ def confining_bound(
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
     spec = spec or DEFAULT_QUADRATURE
     grid = _q_grid(dim, _Q_POINTS)
+    solved = {}  # q -> (C, residual, at_cap), so q* needs no second solve
 
     def neg_c_star(q: float) -> float:
-        c, _, _ = cutoff_for_exponent(V, m, alpha, q, dim, spec)
-        return -c
+        solved[q] = cutoff_for_exponent(V, m, alpha, q, dim, spec)
+        return -solved[q][0]
 
     try:
         q_star, _ = _minimize_term(neg_c_star, grid)
@@ -453,7 +455,7 @@ def confining_bound(
             residual=math.inf,
             vacuous=True,
         )
-    c_star, residual, at_cap = cutoff_for_exponent(V, m, alpha, q_star, dim, spec)
+    c_star, residual, at_cap = solved[q_star]
     if not math.isfinite(c_star):
         return TruncationResult(
             q_star=q_star,

@@ -21,7 +21,8 @@ CSVs carry ``#`` comments with a schema version, the units and every option
 the command takes but ``--out``/``--workers``; identical configurations
 rerun byte-identically.  Failed sweep points become ``# error:`` lines and
 a nonzero exit status.  Sweep workers: --workers, else
-SALPETER_BOUNDS_WORKERS, else all cores; rows keep input order.
+SALPETER_BOUNDS_WORKERS, else (unset or empty) all cores; both take only an
+integer >= 1.  Rows keep input order.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ from .specfun import QuadratureSpec
 
 SCHEMA_VERSION = 1
 _UNITS = "GeV natural units (hbar=c=1); r,R,L in GeV^-1; masses/energies in GeV"
+
+
+def positive_int(text: str) -> int:
+    """An integer >= 1: the range of ``--workers``."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} < 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,8 @@ OPTIONS = {opt.key: opt for opt in (
     Option("g_list", "0.1,0.5,2", help="comma list of couplings"),
     Option("m_grid", "0.4:4:10", help="a:b:n linear grid of masses (GeV)"),
     Option("potentials", "exp,pexp,sing", help="comma list from exp,pexp,sing"),
-    Option("workers", None, int, help="processes ($SALPETER_BOUNDS_WORKERS, else all cores)"),
+    Option("workers", None, positive_int,
+           help="processes, an integer >= 1 ($SALPETER_BOUNDS_WORKERS, else all cores)"),
     Option("out", None, help="CSV output path"),
 )}
 
@@ -337,9 +347,11 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     if opts["workers"] is None:
         env = os.environ.get("SALPETER_BOUNDS_WORKERS", "")
         try:
-            opts["workers"] = int(env or 0) or os.cpu_count() or 1
+            opts["workers"] = int(env) if env else os.cpu_count() or 1
         except ValueError:
             raise SystemExit(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer") from None
+        if opts["workers"] < 1:
+            raise SystemExit(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer >= 1")
     return opts
 
 

@@ -17,10 +17,15 @@ cutoff-and-shift part (C - V)^+: Gamma closed forms for exp/pexp/sing at
 C = 0 and for log at every C, singularity-aware quadrature for exp/pexp/sing
 below C = 0, and piecewise quadrature for tables.  ``_quadrature_norm`` also
 covers C = 0 and log, as the independent check of the closed forms.
+The quadrature integrands evaluate V through scalar kernels that repeat the
+array path's floating-point operations on a float, ``_profile`` for the
+parametric kinds and ``_piecewise_poly`` for tables, so they give the bits
+``evaluate`` gives at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -151,6 +156,30 @@ def _interpolant(model: PotentialModel) -> PPoly:
     return PPoly(np.vstack([slopes, y[:-1]]), x, extrapolate=False)
 
 
+def _piecewise_poly(pp: PPoly):
+    """A float -> float evaluator of pp with PPoly.__call__'s floating-point
+    operations (no extrapolation: nan outside the knots).  The interval is
+    found as scipy's find_interval does, the last one closed on the right,
+    and the local polynomial is summed from its constant term up, as in
+    scipy's evaluate_poly1."""
+    knots = pp.x.tolist()
+    coeffs = [column[::-1] for column in pp.c.T.tolist()]
+    first, last, last_piece = knots[0], knots[-1], len(knots) - 2
+
+    def value(r: float) -> float:
+        if not first <= r <= last:
+            return math.nan
+        i = min(bisect.bisect_right(knots, r) - 1, last_piece)
+        t = r - knots[i]
+        total, z = 0.0, 1.0
+        for c in coeffs[i]:
+            total += c * z
+            z *= t
+        return total
+
+    return value
+
+
 def _table_head_power(model: PotentialModel) -> tuple[float, float]:
     """Power-law extension V ~ v0 (r/r0)^p below the first table radius.
 
@@ -194,17 +223,23 @@ def evaluate(V: PotentialModel, r):
         arr == 0.0
     ):
         raise DomainError(f"{V.kind.value} potential diverges at r = 0")
-    if V.kind is PotentialKind.EXPONENTIAL:
-        out = -(V.g / V.R) * np.exp(-arr / V.R)
-    elif V.kind is PotentialKind.POWER_EXPONENTIAL:
-        out = -(V.g / V.R**2) * arr * np.exp(-arr / V.R)
-    elif V.kind is PotentialKind.SINGULAR:
-        out = -V.g / np.sqrt(arr * V.R) * np.exp(-arr / V.R)
-    elif V.kind is PotentialKind.LOGARITHMIC:
-        out = (V.g / V.R) * np.log(arr / V.R)
-    else:
-        out = V.g * _eval_table(V, arr)
+    out = _profile(V, arr)
     return float(out[0]) if scalar else out
+
+
+def _profile(V: PotentialModel, r):
+    """V(r) by its kind's formula, without evaluate's checks; r is an array or
+    a float.  numpy's ufuncs give a float the bits they give an array element,
+    so the quadrature integrands call this directly on QUADPACK's nodes."""
+    if V.kind is PotentialKind.EXPONENTIAL:
+        return -(V.g / V.R) * np.exp(-r / V.R)
+    if V.kind is PotentialKind.POWER_EXPONENTIAL:
+        return -(V.g / V.R**2) * r * np.exp(-r / V.R)
+    if V.kind is PotentialKind.SINGULAR:
+        return -V.g / np.sqrt(r * V.R) * np.exp(-r / V.R)
+    if V.kind is PotentialKind.LOGARITHMIC:
+        return (V.g / V.R) * np.log(r / V.R)
+    return V.g * _eval_table(V, r)
 
 
 def evaluate_truncated(T: TruncatedPotential, r):
@@ -371,10 +406,11 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
         )
     spec = _power_spec(spec, s)
     interp = _interpolant(V)
+    profile = _piecewise_poly(interp)
     level = C / V.g
 
     def base(r):
-        return max(0.0, C - V.g * float(interp(r)))
+        return max(0.0, C - V.g * profile(r))
 
     # monotone interpolation attains its extrema at the knots
     knot_sup = max((base(r) for r, _ in V.table), default=0.0)
@@ -447,13 +483,13 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
         return 0.0, -R * math.log(-C * R / g)
     if V.kind is PotentialKind.SINGULAR:
         lo, hi = R * 1e-12, R
-        while evaluate(V, hi) < C:
+        while _profile(V, hi) < C:
             hi *= 2.0
-        while evaluate(V, lo) > C and lo > 1e-280:
+        while _profile(V, lo) > C and lo > 1e-280:
             lo *= 1e-3
         # log-space keeps uniform relative precision over many decades
         t = brentq(
-            lambda t: evaluate(V, math.exp(t)) - C,
+            lambda t: _profile(V, math.exp(t)) - C,
             math.log(lo),
             math.log(hi),
             xtol=1e-13,
@@ -464,11 +500,11 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     # POWER_EXPONENTIAL: single minimum at r = R
     if C <= -g / (math.e * R):
         return 0.0, 0.0
-    r1 = brentq(lambda r: evaluate(V, r) - C, 1e-280, R, rtol=1e-15)
+    r1 = brentq(lambda r: _profile(V, r) - C, 1e-280, R, rtol=1e-15)
     hi = 2.0 * R
-    while evaluate(V, hi) < C:
+    while _profile(V, hi) < C:
         hi *= 2.0
-    r2 = brentq(lambda r: evaluate(V, r) - C, R, hi, rtol=1e-15)
+    r2 = brentq(lambda r: _profile(V, r) - C, R, hi, rtol=1e-15)
     return r1, r2
 
 
@@ -492,7 +528,7 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
     k = C - vmin if math.isfinite(vmin) else 1.0
 
     def f(r):
-        return _weight(dim, r) * _scaled_power(max(0.0, C - evaluate(V, r)), k, s)
+        return _weight(dim, r) * _scaled_power(max(0.0, C - _profile(V, r)), k, s)
 
     if V.kind is PotentialKind.SINGULAR:
         split = min(b, V.R)
@@ -500,7 +536,7 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
         # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
         # in 3D and u^(1-s) in 1D; see _singular_head_integrand
         def head(u):
-            base = max(0.0, C - evaluate(V, u * u)) if u > 0.0 else 0.0
+            base = max(0.0, C - _profile(V, u * u)) if u > 0.0 else 0.0
             return _singular_head_integrand(u, base, k, s, dim)
 
         total = _quad(head, 0.0, math.sqrt(split), spec, spec.abs_tol / 4.0)

@@ -1,6 +1,7 @@
 """Command-line interface: single-shot commands, sweeps, CSV contracts."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -319,6 +320,37 @@ def test_workers_env_var_must_be_an_integer(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:2:2", "--N", "128"])
     assert exc.value.code == "SALPETER_BOUNDS_WORKERS='abc' is not an integer"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_flag_must_be_at_least_one(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--N", "128",
+                  "--workers", value])
+    assert exc.value.code == 2
+    assert f"argument --workers: invalid positive_int value: '{value}'" in capsys.readouterr().err
+
+
+def test_workers_env_var_must_be_at_least_one(monkeypatch):
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--N", "128"])
+    assert exc.value.code == "SALPETER_BOUNDS_WORKERS='0' is not an integer >= 1"
+
+
+def test_workers_config_key_must_be_at_least_one(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = -3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--config", str(cfg)])
+    assert exc.value.code == f"{cfg}:1: invalid value '-3' for 'workers' (expected positive_int)"
+
+
+def test_empty_workers_env_var_means_all_cores(monkeypatch):
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "")
+    args = cli.build_parser().parse_args(["fig2"])
+    opts = cli._effective_options(cli.COMMANDS["fig2"], args)
+    assert opts["workers"] == (os.cpu_count() or 1)
 
 
 def test_unknown_potential_exits():

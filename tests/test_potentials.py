@@ -39,6 +39,32 @@ def test_evaluate_array_matches_scalar():
         assert v == pot.evaluate(V, float(r))
 
 
+@pytest.mark.parametrize("make", ALL_KINDS)
+def test_profile_kernel_matches_evaluate_bit_for_bit(make):
+    # the norm integrands call _profile on QUADPACK's float nodes; it must
+    # give the bits evaluate gives, for a scalar and for an array element
+    V = make(1.7, 0.8)
+    rng = np.random.default_rng(5)
+    rs = V.R * np.exp(rng.uniform(math.log(1e-12), math.log(50.0), 2000))
+    for r, v in zip(rs.tolist(), pot.evaluate(V, rs).tolist()):
+        assert pot._profile(V, r) == v == pot.evaluate(V, r)
+
+
+@pytest.mark.parametrize("interp", ["pchip", "linear"])
+def test_table_kernel_matches_ppoly_bit_for_bit(interp):
+    radii = [0.0] + np.geomspace(0.02, 12.0, 39).tolist()
+    values = [-9.0 * math.exp(-r / 0.8) - 1.8 * r * math.exp(-r / 1.5) for r in radii]
+    pp = pot._interpolant(pot.tabulated(radii, values, interp=interp))
+    kernel = pot._piecewise_poly(pp)
+    # random points, every knot, and the neighbours of every knot (outside
+    # the table both give nan)
+    points = np.random.default_rng(3).uniform(0.0, 12.0, 5000).tolist() + radii
+    points += [math.nextafter(r, d) for r in radii for d in (-math.inf, math.inf)]
+    for r in points:
+        expected = float(pp(r))
+        assert kernel(r) == expected or math.isnan(kernel(r)) and math.isnan(expected)
+
+
 def test_evaluate_domain():
     with pytest.raises(DomainError):
         pot.evaluate(pot.exponential(1.0, 1.0), -0.5)
