@@ -54,6 +54,8 @@ from .specfun import (
     combined_constant,
     green_constant_1d,
     green_constant_3d,
+    green_norm_1d,
+    green_norm_3d,
 )
 
 __all__ = [
@@ -185,18 +187,14 @@ def mass_bound_1d(
     return alpha * m - _norm_term(V, m, q, 1, spec or DEFAULT_QUADRATURE)
 
 
-def _q_grid(dim: int, n: int) -> np.ndarray:
-    if dim == 3:
-        return np.linspace(1.0, _Q_HI_3D, n, endpoint=False)
-    return np.linspace(1.0, _Q_HI_1D, n, endpoint=True)
-
-
-def _minimize_term(term, grid) -> tuple[float, float]:
-    """Minimize term(q) over the grid, then refine by golden section.
+def _minimize_term(term, dim: int) -> tuple[float, float]:
+    """Minimize term(q) over the q grid of dimension dim, then refine by golden section.
 
     Points where the norm diverges are skipped; if every point diverges the
     potential is out of the bound's class.
     """
+    hi, endpoint = (_Q_HI_3D, False) if dim == 3 else (_Q_HI_1D, True)
+    grid = np.linspace(1.0, hi, _Q_POINTS, endpoint=endpoint)
     values = []
     for q in grid:
         try:
@@ -251,7 +249,7 @@ def _optimize(V, m, alpha, dim, spec) -> BoundReport:
     def term(q):
         return _norm_term(V, m, q, dim, spec)
 
-    q_opt, t_opt = _minimize_term(term, _q_grid(dim, _Q_POINTS))
+    q_opt, t_opt = _minimize_term(term, dim)
     mass_bound = alpha * m - t_opt
     sup = sup_negative(V)
     trivial = alpha * m - sup if math.isfinite(sup) else -math.inf
@@ -259,10 +257,8 @@ def _optimize(V, m, alpha, dim, spec) -> BoundReport:
     norm = negative_part_norm(V, s, dim, spec)
     if q_opt == 1.0:
         green = 1.0 / (alpha * m)
-    elif dim == 3:
-        green = m ** (2.0 - 3.0 / q_opt) * green_constant_3d(q_opt, spec) / alpha
     else:
-        green = m ** (-1.0 / q_opt) * green_constant_1d(q_opt, spec) / alpha
+        green = (green_norm_3d if dim == 3 else green_norm_1d)(q_opt, m, alpha, spec)
     return BoundReport(
         dimension=dim,
         alpha=float(alpha),
@@ -327,7 +323,7 @@ def critical_coupling_bound_3d(
     def term(q):
         return _norm_term(shape, m, q, 3, spec)
 
-    _, t_opt = _minimize_term(term, _q_grid(3, _Q_POINTS))
+    _, t_opt = _minimize_term(term, 3)
     if t_opt == 0.0:
         return math.inf
     return alpha * m / t_opt
@@ -372,11 +368,8 @@ def cutoff_for_exponent(
 
     scale = max(abs(vmin) if math.isfinite(vmin) else 0.0, alpha * m, 1.0)
     if math.isfinite(vmin):
+        # lhs(min V) = 0, since (min V - V)^+ vanishes; brentq checks the sign
         c_lo = vmin
-        if lhs(c_lo) >= 1.0:
-            # min V is attained on a set of measure zero, so lhs(min V) = 0;
-            # unreachable for the supported kinds but kept defensive
-            return -math.inf, math.inf, False
     else:
         # walk the cutoff down along the potential: C = V(r_j) keeps the
         # support of (C - V)^+ shrinking geometrically without ever probing
@@ -438,7 +431,6 @@ def confining_bound(
     if dim not in (1, 3):
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
     spec = spec or DEFAULT_QUADRATURE
-    grid = _q_grid(dim, _Q_POINTS)
     solved = {}  # q -> (C, residual, at_cap), so q* needs no second solve
 
     def neg_c_star(q: float) -> float:
@@ -446,7 +438,7 @@ def confining_bound(
         return -solved[q][0]
 
     try:
-        q_star, _ = _minimize_term(neg_c_star, grid)
+        q_star, _ = _minimize_term(neg_c_star, dim)
     except PotentialClassError:
         return TruncationResult(
             q_star=math.nan,

@@ -171,16 +171,19 @@ def _bound_point(opts) -> dict:
                 vacuous=int(rep.vacuous), vacuous_note="  [vacuous]" if rep.vacuous else "")
 
 
-def _critical_point(opts, grid_stability_rel=None) -> dict:
+def _critical_point(opts) -> dict:
     V = _make_potential(opts)
     m, alpha, method = opts["m"], opts["alpha"], opts["method"]
     row = dict(beta=m * V.R, potential=opts["potential"], gc_lower_bound=None, gc_exact=None)
     if method in ("bound", "both"):
         row["gc_lower_bound"] = bounds.critical_coupling_bound_3d(V, m, alpha, _quad_spec(opts))
     if method in ("exact", "both"):
+        # the r^(-1/2) core converges only algebraically in the grid spacing;
+        # its residual (~1e-4 relative) is negligible against the bound/exact gap
+        tol = opts["g_bisect_tol"]
+        stability = max(tol, 1e-3) if opts["potential"] == "sing" else None
         row["gc_exact"] = solver.critical_coupling_exact(
-            V, m, alpha, _solver_cfg(opts), g_tol_rel=opts["g_bisect_tol"],
-            grid_stability_rel=grid_stability_rel).coupling
+            V, m, alpha, _solver_cfg(opts), g_tol_rel=tol, grid_stability_rel=stability).coupling
     if method == "both":
         row["ratio"] = row["gc_lower_bound"] / row["gc_exact"]
     return row
@@ -200,10 +203,7 @@ def _solve_point(opts) -> dict:
 
 
 def _fig1_point(job) -> dict:
-    # the r^(-1/2) core converges only algebraically in the grid spacing;
-    # its residual (~1e-4 relative) is negligible against the bound/exact gap
-    stability = max(job["g_bisect_tol"], 1e-3) if job["potential"] == "sing" else None
-    return _critical_point(dict(job, m=job["beta"]), stability)  # R = 1, m = beta
+    return _critical_point(dict(job, m=job["beta"]))  # R = 1, m = beta
 
 
 def _fig2_point(job) -> dict:

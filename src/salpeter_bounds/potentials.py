@@ -121,7 +121,10 @@ def load_table(path, g: float = 1.0, interp: str = "pchip") -> PotentialModel:
 
     Values are interpreted in GeV-based natural units: r in GeV^-1, V in GeV.
     """
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read table {path}: {exc}") from None
     if data.shape[1] != 2:
         raise DomainError(f"expected two columns (r, V) in {path}")
     return tabulated(data[:, 0], data[:, 1], g=g, interp=interp)

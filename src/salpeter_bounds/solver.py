@@ -53,6 +53,11 @@ __all__ = [
     "critical_coupling_exact",
 ]
 
+# the box doubles, at most _MAX_BOX_DOUBLINGS times, while a converged state's
+# boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD
+_TAIL_THRESHOLD = 1e-8
+_MAX_BOX_DOUBLINGS = 4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -69,8 +74,6 @@ class SolverConfig:
     N: int = 256
     eigen_tol: float = 1e-6
     max_grid: int = 16384
-    tail_threshold: float = 1e-8
-    max_box_doublings: int = 4
 
     def __post_init__(self):
         _check_mass_alpha(self.m, self.alpha)
@@ -222,7 +225,7 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
     scale = alpha * m
     best = None
 
-    for _ in range(cfg.max_box_doublings + 1):
+    for _ in range(_MAX_BOX_DOUBLINGS + 1):
         N = n_start
         M, grid, u = solve(V, m, alpha, L, N)
         converged = False
@@ -260,7 +263,7 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
         # only a genuinely bound state can have an untrapped tail; free-like
         # states legitimately fill the box.  Stop when a doubled box could not
         # reach the current spacing within the grid budget.
-        if tail <= cfg.tail_threshold or M >= alpha * m or 2 * N > cfg.max_grid:
+        if tail <= _TAIL_THRESHOLD or M >= alpha * m or 2 * N > cfg.max_grid:
             break
         L *= 2.0
         n_start = min(2 * n_start, cfg.max_grid // 2)  # keep the grid spacing
@@ -310,7 +313,8 @@ def critical_coupling_exact(
     """
     cfg = cfg or SolverConfig()
     if m is not None or alpha is not None:
-        cfg = replace(cfg, m=m if m is not None else cfg.m, alpha=alpha or cfg.alpha)
+        cfg = replace(cfg, m=cfg.m if m is None else m,
+                      alpha=cfg.alpha if alpha is None else alpha)
     m, alpha = cfg.m, cfg.alpha
     stability = grid_stability_rel if grid_stability_rel is not None else g_tol_rel
     dim = cfg.dimension

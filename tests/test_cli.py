@@ -114,6 +114,29 @@ def test_critical_exact_and_csv(tmp_path, capsys):
     assert (beta, b, e) == (1.0, pytest.approx(bound), pytest.approx(exact))
 
 
+def test_critical_sing_uses_the_fig1_stability_rule(tmp_path, capsys):
+    # sing converges only to ~1e-4 under grid doubling; critical and fig1
+    # apply the same 1e-3 stability rule and agree to the last digit
+    code, text, _ = run_cli(["critical", "--potential", "sing", "--method", "exact"], capsys)
+    assert code == 0
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--beta-grid", "1:1:1", "--potentials", "sing",
+                     "--workers", "1", "--out", str(out)]) == 0
+    row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+    assert text.split("g_c exact:")[1].split()[0] == row.split(",")[2]
+
+
+@pytest.mark.parametrize("content", [None, "0.5 -1\n1 abc\n"])
+def test_unreadable_table_is_a_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "table.dat"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run_cli(["bound3d", "--potential", f"table:{path}"], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot read table {path}")
+    assert err.count("\n") == 1
+
+
 def test_bound1d(capsys):
     code, out, _ = run_cli(
         ["bound1d", "--potential", "exp", "--g", "1", "--R", "1", "--m", "1",

@@ -209,6 +209,27 @@ def test_load_table_bad_columns(tmp_path):
         pot.load_table(path)
 
 
+def test_load_table_unreadable_file_names_it(tmp_path):
+    missing = tmp_path / "missing.dat"
+    with pytest.raises(DomainError, match=f"cannot read table {missing}"):
+        pot.load_table(missing)
+    garbled = tmp_path / "garbled.dat"
+    garbled.write_text("0.5 -1\n1 abc\n")
+    with pytest.raises(DomainError, match=f"cannot read table {garbled}"):
+        pot.load_table(garbled)
+
+
+def test_table_power_law_head_below_first_radius():
+    # the first two samples fix p = log(-1/-2)/log(1/0.5) = -1, so below
+    # r0 = 0.5 the table reads g v0 (r/r0)^p = 1.5 * -2 * 0.5/r
+    T = pot.tabulated([0.5, 1.0, 2.0, 4.0], [-2.0, -1.0, -0.4, -0.1], g=1.5)
+    want = [-12.0, -6.0]
+    for r, v in zip((0.125, 0.25), want):
+        assert pot.evaluate(T, r) == pytest.approx(v, rel=1e-14)
+    np.testing.assert_allclose(pot.evaluate(T, np.array([0.125, 0.25])), want, rtol=1e-14)
+    assert pot.min_value(T) == -math.inf
+
+
 def test_table_norm_matches_analytic():
     rs = np.linspace(0.0, 40.0, 4000)
     T = pot.tabulated(rs, -np.exp(-rs))

@@ -216,15 +216,21 @@ def test_critical_coupling_newton_chord():
 
 
 def test_critical_coupling_rejects_lost_bracket(monkeypatch):
-    # the root of M(g) = root - g jumps from 1 to 1e-9 past N = 128, below
-    # the g_lo clamp of the re-validation, so no bracket exists at N = 256
+    # M(g) = 1 - g at N = 128 puts the root on the first bracket's end g = 1,
+    # whose mass 0 is no M(g_hi) < 0, so the first level has no bracket
     def fake_solve(V, m, alpha, L, N, v0=None):
         return (1.0 if N <= 128 else 1e-9) - V.g, None, None
 
     monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
     cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
-    with pytest.raises(BracketError):
+    with pytest.raises(BracketError, match="at N = 128"):
         sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+
+
+def test_critical_coupling_rejects_zero_alpha():
+    # alpha = 0 is checked like any other value, not replaced by the config's
+    with pytest.raises(DomainError):
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 0.0, sv.SolverConfig(N=64))
 
 
 def test_critical_coupling_rejects_root_jump(monkeypatch):
