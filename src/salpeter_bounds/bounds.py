@@ -350,9 +350,14 @@ def cutoff_for_exponent(
     signals a vacuous result at this q.
     """
     spec = spec or DEFAULT_QUADRATURE
+    # brentq evaluates the bracket ends again and the residual reads the root
+    # it returns, so each cutoff's norm is computed once
+    values: dict[float, float] = {}
 
     def lhs(C: float) -> float:
-        return _norm_term(TruncatedPotential(V, C), m, q, dim, spec) / (alpha * m)
+        if C not in values:
+            values[C] = _norm_term(TruncatedPotential(V, C), m, q, dim, spec) / (alpha * m)
+        return values[C]
 
     cap = 0.0 if _has_decaying_tail(V) else None
     vmin = min_value(V)

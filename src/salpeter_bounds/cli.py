@@ -4,19 +4,22 @@ Each command takes ``--config`` and only the options it reads; P stands for
 ``--potential --g --R --m --alpha`` and Q for ``--quad-abs-tol --quad-rel-tol``:
 
   bound3d, bound1d  P Q --q --out
-  critical          P --method --L --N --eigen-tol --g-bisect-tol Q --out
+  critical          P --method --L --N --eigen-tol --g-root-tol Q --out
   confining         P --dim Q --out
   solve             P --dim --L --N --eigen-tol --out
   fig1              --alpha --beta-grid --potentials --N --eigen-tol
-                    --g-bisect-tol Q --workers --out
+                    --g-root-tol Q --workers --out
   fig2              --R --alpha --g-list --m-grid --N --eigen-tol Q --workers --out
 
 ``fig1`` compares the analytic critical-coupling bound of exp/pexp/sing with
 the oracle, ``fig2`` the cutoff mass bound of the logarithmic potential.
-``--g-bisect-tol`` is the relative tolerance of the oracle's Newton-chord
-critical-coupling root.  ``--q`` prints one fixed-exponent bound and no CSV,
-so it excludes ``--out``.  Flags override a ``key = value`` config file,
-which may carry keys a given command does not use (checked, then ignored).
+``--g-root-tol`` is the relative tolerance of the oracle's Newton-chord
+critical-coupling root; config files may still call it ``g_bisect_tol``.
+``--q`` prints one fixed-exponent bound and no CSV, so it excludes ``--out``.
+Flags override a ``key = value`` config file, which may carry keys a given
+command does not use (checked, then ignored).  A malformed or out-of-range
+option value exits with status 2 and a one-line message, whether it comes
+from a flag, the config file or the environment.
 CSVs carry ``#`` comments with a schema version, the units and every option
 the command takes but ``--out``/``--workers``; identical configurations
 rerun byte-identically.  Failed sweep points become ``# error:`` lines and
@@ -36,7 +39,7 @@ import string
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -90,7 +93,7 @@ OPTIONS = {opt.key: opt for opt in (
     Option("L", None, float, help="oracle box size in GeV^-1 (default 20*max(R, 1/m))"),
     Option("N", 256, int, help="oracle starting grid count"),
     Option("eigen_tol", 1e-6, float, help="relative grid self-convergence of the oracle"),
-    Option("g_bisect_tol", 1e-6, float,
+    Option("g_root_tol", 1e-6, float,
            help="relative tolerance of the oracle critical-coupling root"),
     Option("quad_abs_tol", 1e-10, float, help="absolute quadrature tolerance"),
     Option("quad_rel_tol", 1e-10, float, help="relative quadrature tolerance"),
@@ -102,6 +105,14 @@ OPTIONS = {opt.key: opt for opt in (
            help="processes, an integer >= 1 ($SALPETER_BOUNDS_WORKERS, else all cores)"),
     Option("out", None, help="CSV output path"),
 )}
+# former config-file names of options
+_ALIASES = {"g_bisect_tol": "g_root_tol"}
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit with argparse's status for a bad flag, 2, and a one-line message."""
+    print(f"salpeter-bounds: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _fmt(x) -> str:
@@ -115,7 +126,7 @@ def _make_potential(opts) -> potentials.PotentialModel:
     makers = {"exp": potentials.exponential, "pexp": potentials.power_exponential,
               "sing": potentials.singular, "log": potentials.logarithmic}
     if spec not in makers:
-        raise SystemExit(f"unknown potential {spec!r} (use exp|pexp|sing|log|table:<path>)")
+        _usage_error(f"unknown potential {spec!r} (use exp|pexp|sing|log|table:<path>)")
     return makers[spec](opts["g"], opts["R"])
 
 
@@ -133,9 +144,9 @@ def _parse_grid(text, kind) -> list[float]:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise SystemExit(f"bad grid {text!r}; expected a:b:n") from None
+        _usage_error(f"bad grid {text!r}; expected a:b:n")
     if n < 1 or a <= 0 or (n > 1 and b <= a):
-        raise SystemExit(f"grid {text!r} must be positive, increasing, n >= 1")
+        _usage_error(f"grid {text!r} must be positive, increasing, n >= 1")
     if n == 1:
         return [a]
     grid = np.geomspace(a, b, n) if kind == "geom" else np.linspace(a, b, n)
@@ -146,9 +157,9 @@ def _parse_list(text) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise SystemExit(f"bad list {text!r}; expected numbers separated by commas") from None
+        _usage_error(f"bad list {text!r}; expected numbers separated by commas")
     if not values or any(b <= a for a, b in zip(values, values[1:])):
-        raise SystemExit(f"list {text!r} must be nonempty and strictly increasing")
+        _usage_error(f"list {text!r} must be nonempty and strictly increasing")
     return values
 
 
@@ -162,7 +173,7 @@ def _bound_point(opts) -> dict:
     m, alpha, q, dim = opts["m"], opts["alpha"], opts["q"], opts["dim"]
     if q is not None:
         if opts["out"] is not None:
-            raise SystemExit("--q prints one fixed-exponent bound and no CSV; drop --q or --out")
+            _usage_error("--q prints one fixed-exponent bound and no CSV; drop --q or --out")
         value = (bounds.mass_bound_3d if dim == 3 else bounds.mass_bound_1d)(V, m, alpha, q, spec)
         return {"q": q, "fixed_bound": value, "vacuous_note": "  [vacuous]" if value < 0 else ""}
     opt = bounds.optimize_mass_bound_3d if dim == 3 else bounds.optimize_mass_bound_1d
@@ -180,7 +191,7 @@ def _critical_point(opts) -> dict:
     if method in ("exact", "both"):
         # the r^(-1/2) core converges only algebraically in the grid spacing;
         # its residual (~1e-4 relative) is negligible against the bound/exact gap
-        tol = opts["g_bisect_tol"]
+        tol = opts["g_root_tol"]
         stability = max(tol, 1e-3) if opts["potential"] == "sing" else None
         row["gc_exact"] = solver.critical_coupling_exact(
             V, m, alpha, _solver_cfg(opts), g_tol_rel=tol, grid_stability_rel=stability).coupling
@@ -218,7 +229,7 @@ def _fig1_jobs(opts) -> list[dict]:
     kinds = [k.strip() for k in opts["potentials"].split(",") if k.strip()]
     for kind in kinds:
         if kind not in ("exp", "pexp", "sing"):
-            raise SystemExit(f"fig1 potentials must be from exp,pexp,sing; got {kind!r}")
+            _usage_error(f"fig1 potentials must be from exp,pexp,sing; got {kind!r}")
     return [{"beta": beta, "potential": kind}
             for beta in _parse_grid(opts["beta_grid"], "geom") for kind in kinds]
 
@@ -264,7 +275,7 @@ COMMANDS = {
        for d in (3, 1)},
     "critical": Command(
         "critical coupling: analytic lower limit / oracle",
-        _POTENTIAL + ("method", "L", "N", "eigen_tol", "g_bisect_tol") + _QUAD + ("out",),
+        _POTENTIAL + ("method", "L", "N", "eigen_tol", "g_root_tol") + _QUAD + ("out",),
         _critical_point, ("beta", "gc_lower_bound", "gc_exact"), (
             "beta = m*R:       {beta}",
             "g_c lower bound:  {gc_lower_bound}",
@@ -289,7 +300,7 @@ COMMANDS = {
             "boundary amplitude:  {boundary_amplitude}")),
     "fig1": Command(
         "critical-coupling sweep: exact vs lower bound",
-        ("alpha", "beta_grid", "potentials", "N", "eigen_tol", "g_bisect_tol") + _QUAD
+        ("alpha", "beta_grid", "potentials", "N", "eigen_tol", "g_root_tol") + _QUAD
         + ("workers", "out"),
         _fig1_point, ("beta", "potential", "gc_exact", "gc_lower_bound", "ratio"),
         defaults={"g": 1.0, "R": 1.0, "method": "both", "out": "fig1.csv"}, jobs=_fig1_jobs),
@@ -319,22 +330,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        _usage_error(f"cannot read config file {path}: {exc.strerror}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in OPTIONS:
-                raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = OPTIONS[key].parse(value)
-            except ValueError as exc:
-                raise SystemExit(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _usage_error(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        key = _ALIASES.get(key, key)
+        if key not in OPTIONS:
+            _usage_error(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = OPTIONS[key].parse(value)
+        except ValueError as exc:
+            _usage_error(f"{path}:{lineno}: {exc}")
     return out
 
 
@@ -349,9 +365,9 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
         try:
             opts["workers"] = int(env) if env else os.cpu_count() or 1
         except ValueError:
-            raise SystemExit(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer") from None
+            _usage_error(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer")
         if opts["workers"] < 1:
-            raise SystemExit(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer >= 1")
+            _usage_error(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer >= 1")
     return opts
 
 

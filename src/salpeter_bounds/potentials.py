@@ -20,7 +20,13 @@ covers C = 0 and log, as the independent check of the closed forms.
 The quadrature integrands evaluate V through scalar kernels that repeat the
 array path's floating-point operations on a float, ``_profile`` for the
 parametric kinds and ``_piecewise_poly`` for tables, so they give the bits
-``evaluate`` gives at a fraction of its per-call cost.
+``evaluate`` gives at a fraction of its per-call cost.  The two hottest
+integrands, ``_table_integrand`` and the singular head ``_singular_head``,
+are each one closure doing those operations with their constants hoisted,
+over per-table data cached by ``_table_pieces``.  Table pieces on which
+(C - V)^+ vanishes are not integrated (their quadrature is exactly 0), and
+the power-law head below the first table radius is integrated over its
+closed-form support.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -159,14 +166,18 @@ def _interpolant(model: PotentialModel) -> PPoly:
     return PPoly(np.vstack([slopes, y[:-1]]), x, extrapolate=False)
 
 
+def _poly_pieces(pp: PPoly) -> tuple[list[float], list[list[float]]]:
+    """pp's knots, and per piece its local coefficients from the constant term up."""
+    return pp.x.tolist(), [column[::-1] for column in pp.c.T.tolist()]
+
+
 def _piecewise_poly(pp: PPoly):
     """A float -> float evaluator of pp with PPoly.__call__'s floating-point
     operations (no extrapolation: nan outside the knots).  The interval is
     found as scipy's find_interval does, the last one closed on the right,
     and the local polynomial is summed from its constant term up, as in
     scipy's evaluate_poly1."""
-    knots = pp.x.tolist()
-    coeffs = [column[::-1] for column in pp.c.T.tolist()]
+    knots, coeffs = _poly_pieces(pp)
     first, last, last_piece = knots[0], knots[-1], len(knots) - 2
 
     def value(r: float) -> float:
@@ -181,6 +192,23 @@ def _piecewise_poly(pp: PPoly):
         return total
 
     return value
+
+
+class _TablePieces(NamedTuple):
+    knots: tuple[float, ...]
+    coeffs: tuple[tuple[float, ...], ...]  # per piece, constant term first
+    profile: Callable[[float], float]  # _piecewise_poly of the interpolant
+    knot_min: float  # least interpolant value at the knots
+
+
+@lru_cache(maxsize=256)
+def _table_pieces(model: PotentialModel) -> _TablePieces:
+    """The per-table data of the norm quadrature, built once per table."""
+    pp = _interpolant(model)
+    profile = _piecewise_poly(pp)
+    knots, coeffs = _poly_pieces(pp)
+    return _TablePieces(tuple(knots), tuple(map(tuple, coeffs)), profile,
+                        min(map(profile, knots)))
 
 
 def _table_head_power(model: PotentialModel) -> tuple[float, float]:
@@ -374,22 +402,33 @@ def _scaled_power(value: float, k: float, s: float) -> float:
     return math.exp(ln)
 
 
-def _singular_head_integrand(u: float, base: float, k: float, s: float, dim: int) -> float:
-    # full integrand of the u = sqrt(r) substituted head in log space:
-    # 2u * w(u^2) * (base/k)^s with w = 4 pi r^(dim-1)-type weight.  For a
-    # base ~ r^(-1/2) it behaves like u^(5-s) in 3D, singular for 5 < s < 6,
-    # and like u^(1-s) in 1D, singular for every s > 1; QUADPACK's
-    # extrapolation absorbs what the substitution leaves
-    if u <= 0.0 or base <= 0.0 or k <= 0.0:
-        return 0.0
-    if dim == 3:
-        ln = math.log(8.0 * math.pi) + 5.0 * math.log(u)
-    else:
-        ln = math.log(4.0) + math.log(u)
-    ln += s * (math.log(base) - math.log(k))
-    if ln < -745.0:
-        return 0.0
-    return math.exp(min(ln, 709.0))
+def _singular_head(V: PotentialModel, C: float, k: float, s: float, dim: int):
+    """The u = sqrt(r) substituted head integrand of the singular kind,
+    2u w(u^2) ((C - V(u^2))^+ / k)^s, assembled in log space.
+
+    For V ~ r^(-1/2) it behaves like u^(5-s) in 3D, singular for 5 < s < 6,
+    and like u^(1-s) in 1D, singular for every s > 1; QUADPACK's extrapolation
+    absorbs what the substitution leaves.  One closure with the constant logs
+    hoisted, doing _profile's operations (np.exp keeps the array path's bits;
+    sqrt is correctly rounded in math and numpy alike).
+    """
+    neg_g, R = -V.g, V.R
+    ln_w, u_power = (math.log(8.0 * math.pi), 5.0) if dim == 3 else (math.log(4.0), 1.0)
+    ln_k = math.log(k)
+
+    def head(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        r = u * u
+        base = C - neg_g / math.sqrt(r * R) * np.exp(-r / R)
+        if not base > 0.0:
+            return 0.0
+        ln = ln_w + u_power * math.log(u) + s * (math.log(base) - ln_k)
+        if ln < -745.0:
+            return 0.0
+        return math.exp(min(ln, 709.0))
+
+    return head
 
 
 def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
@@ -399,65 +438,108 @@ def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
     return replace(spec, rel_tol=slack)
 
 
+def _table_integrand(V: PotentialModel, C: float, k: float, s: float, dim: int):
+    """w(r) ((C - V(r))^+ / k)^s of a tabulated potential on its knot range:
+    _weight(dim, r) * _scaled_power(max(0, C - g _piecewise_poly(r)), k, s)
+    operation for operation, in one closure over the cached pieces (k > 0)."""
+    pieces = _table_pieces(V)
+    knots, coeffs = pieces.knots, pieces.coeffs
+    first, last, last_piece = knots[0], knots[-1], len(knots) - 2
+    g, ln_k, four_pi = V.g, math.log(k), 4.0 * math.pi
+
+    def f(r: float) -> float:
+        if not first <= r <= last:
+            return 0.0
+        i = min(bisect.bisect_right(knots, r) - 1, last_piece)
+        t = r - knots[i]
+        total, z = 0.0, 1.0
+        for c in coeffs[i]:
+            total += c * z
+            z *= t
+        base = C - g * total
+        if not base > 0.0:
+            return 0.0
+        ln = s * (math.log(base) - ln_k)
+        if ln < -745.0:
+            return 0.0
+        power = math.inf if ln > 709.0 else math.exp(ln)
+        return four_pi * r * r * power if dim == 3 else 2.0 * power
+
+    return f
+
+
+def _table_head(V: PotentialModel, C: float, k: float, s: float, dim: int, spec) -> float:
+    """The integral of w(r) ((C - V(r))^+ / k)^s below the first table radius
+    r0 > 0, where V is the fitted power law v0 (r/r0)^p (0 when r0 = 0).
+
+    (C - V)^+ > 0 exactly where v0 (r/r0)^p < C: for v0 < 0 that is r below
+    r_c = r0 (C/v0)^(1/p) when p < 0, r above r_c when p > 0, and all of
+    (0, r0) or none when p = 0.  The quadrature runs over that support only,
+    so a support far shorter than r0 is not lost between QUADPACK's nodes.
+    """
+    r0 = V.table[0][0]
+    if r0 == 0.0:
+        return 0.0
+    p, v0 = _table_head_power(V)
+    v0 = V.g * v0
+    # fuzz absorbs roundoff in the fitted exponent at the critical s
+    if v0 < 0.0 and p < 0.0 and p * s + dim <= 1e-9:
+        raise DivergentNormError(
+            f"tabulated potential behaves like r^({p:.3f}) near r = 0; "
+            f"its negative part is not in L^{s:g} in {dim}D"
+        )
+    if not v0 < 0.0:
+        return 0.0  # C <= 0 <= v0 (r/r0)^p
+    ratio = C / v0  # >= 0; r_c < r0 exactly when ratio > 1 for p < 0, < 1 for p > 0
+    if p >= 0.0 and ratio >= 1.0:
+        return 0.0
+    lo, hi = 0.0, r0
+    if p < 0.0 and ratio > 1.0:
+        hi = r0 * ratio ** (1.0 / p)
+    elif p > 0.0:
+        lo = r0 * ratio ** (1.0 / p)
+    if not hi > lo:
+        return 0.0
+
+    def f(r):
+        return _weight(dim, r) * _scaled_power(max(0.0, C - v0 * (r / r0) ** p), k, s)
+
+    return _quad(f, lo, hi, spec, spec.abs_tol / 4.0)
+
+
 def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     """||(C - V)^+||_s of a tabulated potential (C = 0 gives ||V^-||_s),
-    integrating piecewise between knots and sign changes."""
+    integrating piecewise between knots and sign changes.
+
+    V - C/g keeps one sign between consecutive knots and crossings, so a
+    piece where (C - V)^+ vanishes at the midpoint vanishes throughout; its
+    quadrature would return exactly 0.0 and is skipped.
+    """
     if C > 0.0:
         # the potential vanishes beyond the table, so (C - V)^+ -> C there
         raise DivergentNormError(
             "cutoff above the potential's vanishing tail: (C - V)^+ does not decay"
         )
     spec = _power_spec(spec, s)
-    interp = _interpolant(V)
-    profile = _piecewise_poly(interp)
-    level = C / V.g
-
-    def base(r):
-        return max(0.0, C - V.g * profile(r))
-
-    # monotone interpolation attains its extrema at the knots
-    knot_sup = max((base(r) for r, _ in V.table), default=0.0)
+    pieces = _table_pieces(V)
+    # monotone interpolation attains its extrema at the knots; C - g v falls
+    # monotonically in v, in floating point too
+    knot_sup = max(0.0, C - V.g * pieces.knot_min)
     k = knot_sup if knot_sup > 0.0 else 1.0
+    f = _table_integrand(V, C, k, s, dim)
 
-    def f(r):
-        return _weight(dim, r) * _scaled_power(base(r), k, s)
-
-    knots = list(interp.x)
     crossings = [
         float(c)
-        for c in np.ravel(interp.solve(level, extrapolate=False))
+        for c in np.ravel(_interpolant(V).solve(C / V.g, extrapolate=False))
         if np.isreal(c)
     ]
-    points = sorted(set(knots + crossings))
+    points = sorted({*pieces.knots, *crossings})
     total = 0.0
     n_pieces = max(1, len(points) - 1)
     for a, b in zip(points, points[1:]):
-        if b > a:
+        if b > a and C - V.g * pieces.profile(0.5 * (a + b)) > 0.0:
             total += _quad(f, a, b, spec, spec.abs_tol / (4.0 * n_pieces))
-
-    # head below the first radius: fitted power-law extension
-    r0 = V.table[0][0]
-    if r0 > 0.0:
-        p, v0 = _table_head_power(V)
-        v0 = V.g * v0
-        # fuzz absorbs roundoff in the fitted exponent at the critical s
-        if v0 < 0.0 and p < 0.0 and p * s + dim <= 1e-9:
-            raise DivergentNormError(
-                f"tabulated potential behaves like r^({p:.3f}) near r = 0; "
-                f"its negative part is not in L^{s:g} in {dim}D"
-            )
-
-        def head_base(r):
-            return max(0.0, C - v0 * (r / r0) ** p)
-
-        if any(head_base(r) > 0.0 for r in (r0 * 1e-6, r0 * 0.5, r0 * 0.999999)):
-            total += _quad(
-                lambda r: _weight(dim, r) * _scaled_power(head_base(r), k, s),
-                0.0,
-                r0,
-                spec,
-                spec.abs_tol / 4.0,
-            )
+    total += _table_head(V, C, k, s, dim, spec)
     if total == 0.0:
         return 0.0
     return k * total ** (1.0 / s)
@@ -535,13 +617,9 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
 
     if V.kind is PotentialKind.SINGULAR:
         split = min(b, V.R)
-
         # u = sqrt(r) weakens the r^(-s/2) endpoint singularity to u^(5-s)
-        # in 3D and u^(1-s) in 1D; see _singular_head_integrand
-        def head(u):
-            base = max(0.0, C - _profile(V, u * u)) if u > 0.0 else 0.0
-            return _singular_head_integrand(u, base, k, s, dim)
-
+        # in 3D and u^(1-s) in 1D; see _singular_head
+        head = _singular_head(V, C, k, s, dim)
         total = _quad(head, 0.0, math.sqrt(split), spec, spec.abs_tol / 4.0)
         if b == math.inf:
             total += _tail(f, split, spec, spec.abs_tol)

@@ -245,3 +245,61 @@ def test_confining_bound_1d_extension():
 def test_confining_dimension_validation():
     with pytest.raises(DomainError):
         bd.confining_bound(pot.logarithmic(1.0, 1.0), 1.0, 2, dim=2)
+
+
+def _benchmark_like_table():
+    # a deep well with a shoulder, tabulated from r = 0 (flat head)
+    radii = [0.0] + [0.02 * (12.0 / 0.02) ** (i / 58) for i in range(59)]
+    values = [-9.0 * math.exp(-r / 0.8) - 1.8 * r * math.exp(-r / 1.5) for r in radii]
+    return pot.tabulated(radii, values)
+
+
+@pytest.mark.parametrize("V, q", [
+    (pot.singular(5.0, 1.0), 1.3),        # interior root below the C = 0 cap
+    (pot.exponential(0.5, 1.0), 1.3),     # pinned at the cap
+    (pot.exponential(1.0, 1.0), 1.0),     # q = 1 closed form, capped
+    (_benchmark_like_table(), 1.2),       # finite min V starts the bracket
+    (pot.logarithmic(0.5, 2.5), 1.2),     # no cap: the bracket grows upward
+])
+def test_cutoff_never_evaluates_one_norm_twice(monkeypatch, V, q):
+    cutoffs = []
+    norm = bd.truncated_negative_norm
+
+    def spy(T, *args):
+        cutoffs.append(T.cutoff)
+        return norm(T, *args)
+
+    monkeypatch.setattr(bd, "truncated_negative_norm", spy)
+    c, residual, at_cap = bd.cutoff_for_exponent(V, 1.0, 2.0, q)
+    assert cutoffs and len(cutoffs) == len(set(cutoffs))
+    # the residual is the one of the returned cutoff's own norm
+    monkeypatch.setattr(bd, "truncated_negative_norm", norm)
+    lhs = bd._norm_term(pot.TruncatedPotential(V, c), 1.0, q, 3, sf.DEFAULT_QUADRATURE) / 2.0
+    assert residual == abs(lhs - 1.0)
+
+
+# float.hex of (q*, C*, residual) recorded before the norm kernels were fused,
+# vanishing table pieces skipped and the cutoff norms memoized
+@pytest.mark.parametrize("V, want", [
+    (pot.singular(5.0, 1.0),
+     ("0x1.5e81220ce8141p+0", "-0x1.80df6a8ddf81dp+2", "0x1.0000000000000p-52")),
+    (_benchmark_like_table(),
+     ("0x1.3da3275e44d87p+0", "-0x1.f23a6d8c374f1p+0", "0x1.0000000000000p-51")),
+])
+def test_confining_bound_golden_values(V, want):
+    res = bd.confining_bound(V, 1.0, 2.0)
+    assert (res.q_star.hex(), res.c_star.hex(), res.residual.hex()) == want
+    assert not res.at_cap and not res.vacuous
+
+
+def test_confining_bound_table_with_short_head_support():
+    # a table sampled from r0 = 0.3 on: at the optimal cutoff the support of
+    # (C - V)^+ is a sliver of the power-law head, far below r0; the cutoff
+    # root must still solve its equation
+    r = [0.3 * 100.0 ** (i / 39) for i in range(40)]
+    V = pot.tabulated(r, [float(v) for v in pot.evaluate(pot.singular(5.0, 1.0), r)])
+    res = bd.confining_bound(V, 1.0, 2.0)
+    assert not res.vacuous and not res.at_cap
+    assert res.residual <= 1e-8
+    p, v0 = pot._table_head_power(V)
+    assert 0.3 * (res.c_star / v0) ** (1.0 / p) < 0.0022 * 0.3

@@ -170,7 +170,8 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("g = 2.0\ngee = 3\n")
     with pytest.raises(SystemExit) as exc:
         run_cli(["bound3d", "--config", str(cfg), "--q", "1.0"], capsys)
-    assert str(exc.value) == f"{cfg}:2: unknown key 'gee'"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"salpeter-bounds: error: {cfg}:2: unknown key 'gee'\n"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -183,7 +184,8 @@ def test_config_file_rejects_bad_value(tmp_path, capsys, line, message):
     cfg.write_text(f"g = 2.0\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         run_cli(["critical", "--method", "bound", "--config", str(cfg)], capsys)
-    assert str(exc.value) == f"{cfg}:2: {message}"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"salpeter-bounds: error: {cfg}:2: {message}\n"
 
 
 def test_config_file_keys_a_command_does_not_take_are_ignored(tmp_path, capsys):
@@ -201,8 +203,9 @@ def test_fixed_q_with_out_is_an_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
         run_cli(["bound3d", "--potential", "exp", "--q", "1.0", "--out", str(out)], capsys)
-    assert exc.value.code != 0
-    assert "--q" in str(exc.value) and "--out" in str(exc.value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--q" in err and "--out" in err
     assert not out.exists()
 
 
@@ -219,10 +222,10 @@ def test_critical_csv_echoes_every_option_it_uses(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bound3d", "--eigen-tol", "1e-6"],
-    ["confining", "--g-bisect-tol", "1e-6"],
+    ["confining", "--g-root-tol", "1e-6"],
     ["solve", "--quad-abs-tol", "1e-8"],
     ["fig1", "--m", "2"],
-    ["fig2", "--g-bisect-tol", "1e-6"],
+    ["fig2", "--g-root-tol", "1e-6"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -314,10 +317,12 @@ def test_workers_env_var(monkeypatch, zero_table, capsys):
     assert code == 0
 
 
-def test_list_parsing_error_is_a_usage_error():
+def test_list_parsing_error_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5,x", "--m-grid", "1:2:2"])
-    assert exc.value.code == "bad list '0.5,x'; expected numbers separated by commas"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "salpeter-bounds: error: bad list '0.5,x'; expected numbers separated by commas\n")
 
 
 def test_workers_env_var_sets_sweep_workers(monkeypatch, tmp_path, capsys):
@@ -338,11 +343,13 @@ def test_workers_env_var_sets_sweep_workers(monkeypatch, tmp_path, capsys):
     assert len([line for line in out.read_text().splitlines() if not line.startswith("#")]) == 2
 
 
-def test_workers_env_var_must_be_an_integer(monkeypatch):
+def test_workers_env_var_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "abc")
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:2:2", "--N", "128"])
-    assert exc.value.code == "SALPETER_BOUNDS_WORKERS='abc' is not an integer"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "salpeter-bounds: error: SALPETER_BOUNDS_WORKERS='abc' is not an integer\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -354,19 +361,24 @@ def test_workers_flag_must_be_at_least_one(capsys, value):
     assert f"argument --workers: invalid positive_int value: '{value}'" in capsys.readouterr().err
 
 
-def test_workers_env_var_must_be_at_least_one(monkeypatch):
+def test_workers_env_var_must_be_at_least_one(monkeypatch, capsys):
     monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "0")
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--N", "128"])
-    assert exc.value.code == "SALPETER_BOUNDS_WORKERS='0' is not an integer >= 1"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "salpeter-bounds: error: SALPETER_BOUNDS_WORKERS='0' is not an integer >= 1\n")
 
 
-def test_workers_config_key_must_be_at_least_one(tmp_path):
+def test_workers_config_key_must_be_at_least_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("workers = -3\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--config", str(cfg)])
-    assert exc.value.code == f"{cfg}:1: invalid value '-3' for 'workers' (expected positive_int)"
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"salpeter-bounds: error: {cfg}:1: invalid value '-3' for 'workers' "
+        "(expected positive_int)\n")
 
 
 def test_empty_workers_env_var_means_all_cores(monkeypatch):
@@ -379,3 +391,44 @@ def test_empty_workers_env_var_means_all_cores(monkeypatch):
 def test_unknown_potential_exits():
     with pytest.raises(SystemExit):
         cli.main(["bound3d", "--potential", "coulomb"])
+
+
+def test_config_file_accepts_the_former_root_tolerance_name(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g_bisect_tol = 3e-7\n")
+    args = cli.build_parser().parse_args(["critical", "--config", str(cfg)])
+    assert cli._effective_options(cli.COMMANDS["critical"], args)["g_root_tol"] == 3e-7
+    args = cli.build_parser().parse_args(
+        ["critical", "--config", str(cfg), "--g-root-tol", "2e-6"])
+    assert cli._effective_options(cli.COMMANDS["critical"], args)["g_root_tol"] == 2e-6
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["critical", "--g-bisect-tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --g-bisect-tol" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound3d", "--config", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"salpeter-bounds: error: cannot read config file {missing}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_bad_workers_value_exits_2_from_every_source(source, tmp_path, monkeypatch, capsys):
+    argv = ["fig2", "--g-list", "0.5", "--m-grid", "1:1:1", "--N", "128"]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 0\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

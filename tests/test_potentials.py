@@ -408,3 +408,213 @@ def test_length_scale():
     assert pot.length_scale(pot.exponential(1.0, 3.0)) == 3.0
     T = pot.tabulated([0.0, 10.0], [0.0, 0.0])
     assert pot.length_scale(T) > 0.0
+
+
+# --- the norm kernels change no bit --------------------------------------
+#
+# The table and singular-head integrands are single closures over hoisted
+# constants; the references below are the generic compositions they replace.
+
+
+def _benchmark_like_table(g=1.0, interp="pchip"):
+    # a deep well with a shoulder, tabulated from r = 0 (flat head)
+    radii = [0.0] + [0.02 * (12.0 / 0.02) ** (i / 58) for i in range(59)]
+    values = [-9.0 * math.exp(-r / 0.8) - 1.8 * r * math.exp(-r / 1.5) for r in radii]
+    return pot.tabulated(radii, values, g=g, interp=interp)
+
+
+def _same_float(a, b):
+    return a == b or math.isnan(a) and math.isnan(b)
+
+
+def _reference_singular_head_integrand(u, base, k, s, dim):
+    # 2u w(u^2) (base/k)^s in log space, as composed before the fusion
+    if u <= 0.0 or base <= 0.0 or k <= 0.0:
+        return 0.0
+    if dim == 3:
+        ln = math.log(8.0 * math.pi) + 5.0 * math.log(u)
+    else:
+        ln = math.log(4.0) + math.log(u)
+    ln += s * (math.log(base) - math.log(k))
+    if ln < -745.0:
+        return 0.0
+    return math.exp(min(ln, 709.0))
+
+
+@pytest.mark.parametrize("interp", ["pchip", "linear"])
+@pytest.mark.parametrize("dim", [3, 1])
+def test_fused_table_integrand_matches_generic_composition(interp, dim):
+    V = _benchmark_like_table(g=1.3, interp=interp)
+    profile = pot._piecewise_poly(pot._interpolant(V))
+    rng = np.random.default_rng(11 + dim)
+    cases = [(-12.0, 3.0, 1.0), (-4.0, 7.5, 3.0), (-0.5, 140.0, 11.0), (-6.0, 300.0, 1e-3)]
+    for C, s, k in cases:  # the last two reach the exp clamps at both ends
+        f = pot._table_integrand(V, C, k, s, dim)
+        nodes = rng.uniform(0.0, 12.0, 2000).tolist() + [0.0, 12.0, 12.5]
+        for r in nodes:
+            generic = pot._weight(dim, r) * pot._scaled_power(
+                max(0.0, C - V.g * profile(r)), k, s)
+            # 0 * inf at r = 0 is nan on both paths
+            assert _same_float(f(r), generic), (C, s, k, r)
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_fused_singular_head_matches_generic_composition(dim):
+    rng = np.random.default_rng(23 + dim)
+    for g, R, C, k, s in [(5.0, 1.0, -3.0, 1.0, 3.5), (1.7, 0.8, -40.0, 1.0, 1.9),
+                          (0.3, 2.0, -0.01, 0.02, 5.9), (2.0, 1.5, -1e3, 1e-4, 150.0)]:
+        V = pot.singular(g, R)
+        head = pot._singular_head(V, C, k, s, dim)
+        nodes = [0.0] + np.exp(rng.uniform(math.log(1e-9), math.log(3.0), 2000)).tolist()
+        for u in nodes:
+            base = max(0.0, C - pot._profile(V, u * u)) if u > 0.0 else 0.0
+            assert head(u) == _reference_singular_head_integrand(u, base, k, s, dim), (C, u)
+
+
+def _reference_table_norm(V, s, dim, spec, C):
+    # every piece between knots and crossings integrated, none skipped, with
+    # the generic integrand and knot_sup taken over the knots one by one
+    spec = pot._power_spec(spec, s)
+    interp = pot._interpolant(V)
+    profile = pot._piecewise_poly(interp)
+
+    def base(r):
+        return max(0.0, C - V.g * profile(r))
+
+    knot_sup = max((base(r) for r, _ in V.table), default=0.0)
+    k = knot_sup if knot_sup > 0.0 else 1.0
+
+    def f(r):
+        return pot._weight(dim, r) * pot._scaled_power(base(r), k, s)
+
+    crossings = [float(c) for c in np.ravel(interp.solve(C / V.g, extrapolate=False))
+                 if np.isreal(c)]
+    points = sorted(set(list(interp.x) + crossings))
+    total = 0.0
+    n_pieces = max(1, len(points) - 1)
+    for a, b in zip(points, points[1:]):
+        if b > a:
+            total += pot._quad(f, a, b, spec, spec.abs_tol / (4.0 * n_pieces))
+    total += pot._table_head(V, C, k, s, dim, spec)
+    if total == 0.0:
+        return 0.0
+    return k * total ** (1.0 / s)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DivergentNormError, ConvergenceError) as exc:
+        return type(exc).__name__
+
+
+def test_skipping_vanishing_table_pieces_is_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    spec = QuadratureSpec()
+    finite = 0  # cases with a finite norm; divergent heads are compared too
+    while finite < 200:
+        n = int(rng.integers(4, 24))
+        r_first = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.05, 0.5))
+        radii = np.sort(rng.uniform(r_first, 15.0, n - 1))
+        radii = np.concatenate([[r_first], radii[radii > r_first]])
+        if len(radii) < 3 or np.any(np.diff(radii) <= 1e-6):
+            continue
+        # attractive wells with a repulsive bump, so (C - V)^+ has several pieces
+        a, b, c, d = rng.uniform(0.5, 8.0), rng.uniform(0.3, 2.0), rng.uniform(-3.0, 3.0), \
+            rng.uniform(0.5, 4.0)
+        values = -a * np.exp(-radii / b) + c * np.exp(-((radii - d) ** 2))
+        V = pot.tabulated(radii, values, g=float(rng.uniform(0.5, 2.0)),
+                          interp=str(rng.choice(["pchip", "linear"])))
+        vmin = V.g * float(np.min(values))
+        for _ in range(4):
+            C = 0.0 if rng.random() < 0.15 else float(rng.uniform(1.1 * min(vmin, -0.1), 0.0))
+            s = float(rng.choice([1.5, 2.0, 3.0, 4.7])) if rng.random() < 0.5 \
+                else float(np.exp(rng.uniform(math.log(1.2), math.log(80.0))))
+            dim = int(rng.choice([3, 1]))
+            got = _outcome(pot._table_norm, V, s, dim, spec, C)
+            want = _outcome(_reference_table_norm, V, s, dim, spec, C)
+            assert got == want, (radii.tolist(), values.tolist(), V.g, V.interp, C, s, dim)
+            finite += not isinstance(got, str)
+
+
+# float.hex of norms recorded before the kernels were fused and vanishing
+# pieces skipped; they must never move without an intended change of values
+@pytest.mark.parametrize("kind, C, s, dim, want", [
+    ("table", 0.0, 3.0, 3, "0x1.446ed6c3c0aaep+3"),
+    ("table", -4.0, 3.0, 3, "0x1.fe2fc4c931f89p+0"),
+    ("table", -8.5, 12.0, 3, "0x1.4d08926bfdbafp-3"),
+    ("table", -2.0, 2.5, 1, "0x1.6312979d2a05cp+2"),
+    ("table", -0.3, 40.0, 1, "0x1.01cd15bac2f42p+3"),
+    ("yukawa", 0.0, 2.5, 3, "0x1.f2dc8fb2e2f05p+1"),
+    ("yukawa", 0.0, 2.0, 3, "0x1.a28b6b0f2be23p+1"),
+    ("sing", -3.0, 3.5, 3, "0x1.0c254e957e725p+2"),
+    ("sing", -40.0, 5.5, 3, "0x1.bf03532a985d6p+2"),
+    ("sing", -0.5, 1.5, 1, "0x1.0acf64b27dc71p+4"),
+    ("sing", -12.0, 1.9, 1, "0x1.ed22daef52028p+4"),
+])
+def test_norm_golden_values(kind, C, s, dim, want):
+    if kind == "table":
+        V = _benchmark_like_table()
+    elif kind == "yukawa":
+        rr = np.geomspace(0.05, 20.0, 30)
+        V = pot.tabulated(rr, -np.exp(-rr) / rr, g=1.3)
+    else:
+        V = pot.singular(5.0, 1.0)
+    assert pot.truncated_negative_norm(TruncatedPotential(V, C), s, dim).hex() == want
+
+
+# --- the power-law head below the first table radius ----------------------
+
+
+def _sampled_singular_table():
+    r = np.geomspace(0.3, 30.0, 40)
+    return pot.tabulated(r, pot.evaluate(pot.singular(5.0, 1.0), r))
+
+
+def test_table_head_support_shorter_than_quadrature_nodes_is_kept():
+    # the fitted head v0 (r/r0)^p (p < 0) is below C only for r < r_c; once
+    # r_c < 0.0022 r0 no Gauss-Kronrod node over (0, r0) sees the support
+    V = _sampled_singular_table()
+    p, v0 = pot._table_head_power(V)
+    assert p < 0.0
+    r0 = V.table[0][0]
+    cutoffs = np.linspace(-1000.0, -1100.0, 101)
+    norms = [pot.truncated_negative_norm(TruncatedPotential(V, float(C)), 3.27, 3)
+             for C in cutoffs]
+    crossing = [float(C) for C in cutoffs
+                if r0 * (float(C) / (V.g * v0)) ** (1.0 / p) < 0.0022 * r0]
+    assert crossing and crossing[0] > cutoffs[-1]  # the scan crosses r_c = 0.0022 r0
+    assert all(n > 0.0 for n in norms)
+    # increasing in C and continuous: steps no larger than 1e-3 relative
+    steps = np.diff(norms[::-1])
+    assert np.all(steps > 0.0)
+    assert np.max(steps / np.asarray(norms[:0:-1])) < 1e-3
+    # and it is the integral over (0, r_c), checked by a brute-force quadrature
+    C = -1050.0
+    r_c = r0 * (C / (V.g * v0)) ** (1.0 / p)
+    head, _ = quad(lambda r: 4.0 * math.pi * r * r * max(0.0, C - V.g * v0 * (r / r0) ** p)
+                   ** 3.27, 0.0, r_c, epsabs=0.0, epsrel=1e-12, limit=200)
+    k = max(0.0, C - V.g * min(v for _, v in V.table))
+    assert k == 0.0  # the table itself lies above C: only the head contributes
+    assert pot.truncated_negative_norm(TruncatedPotential(V, C), 3.27, 3) == pytest.approx(
+        head ** (1.0 / 3.27), rel=1e-8)
+
+
+@pytest.mark.parametrize("values, C", [
+    ([-1.0, -2.0, -1.5], -1.2),   # p > 0: support (r_c, r0)
+    ([-1.0, -2.0, -1.5], -0.5),   # p > 0: all of (0, r0)
+    ([-1.0, -2.0, -1.5], -1.0),   # p > 0: C = v0, empty
+    ([-2.0, -1.0, -0.5], -3.0),   # p < 0: support (0, r_c)
+    ([-2.0, -1.0, -0.5], -1.5),   # p < 0: all of (0, r0)
+    ([-2.0, 1.0, -0.5], -1.5),    # p = 0: flat head below C
+    ([-2.0, 1.0, -0.5], -2.5),    # p = 0: flat head above C, empty
+    ([0.5, -1.0, -0.5], -0.2),    # v0 > 0: empty
+])
+def test_table_head_matches_brute_force(values, C):
+    V = pot.tabulated([0.5, 1.0, 2.0], values)
+    p, v0 = pot._table_head_power(V)
+    s, dim, k = 2.5, 3, 1.0
+    got = pot._table_head(V, C, k, s, dim, QuadratureSpec())
+    want, _ = quad(lambda r: 4.0 * math.pi * r * r * max(0.0, C - v0 * (r / 0.5) ** p) ** s,
+                   0.0, 0.5, epsabs=1e-14, epsrel=1e-12, limit=400, points=[1e-3, 1e-2, 0.1])
+    assert got == pytest.approx(want, rel=1e-8, abs=1e-14)
