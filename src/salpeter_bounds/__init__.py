@@ -11,7 +11,23 @@ The package computes, in GeV-based natural units:
 * the cutoff-and-shift extension of the bound to confining potentials;
 * "exact" reference values from a sine-basis / plane-wave pseudospectral
   eigensolver with self-convergence diagnostics.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set; set either
+before the import to choose another thread count.  The default has no effect
+if numpy or scipy loaded its BLAS before ``salpeter_bounds`` was first
+imported.
 """
+
+import os
+
+# The package's BLAS work is ARPACK's level-1/2 operations on at most
+# 20 vectors of ``max_grid`` (16384 by default) entries.  A second OpenBLAS
+# thread does no useful work there; it only spins between calls and nearly
+# doubles an eigensolve's CPU time.  This must run before the first
+# submodule loads numpy or scipy.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .bounds import (
     BoundReport,

@@ -19,13 +19,15 @@ critical-coupling root; config files may still call it ``g_bisect_tol``.
 Flags override a ``key = value`` config file, which may carry keys a given
 command does not use (checked, then ignored).  A malformed or out-of-range
 option value exits with status 2 and a one-line message, whether it comes
-from a flag, the config file or the environment.
+from a flag, the config file or the environment; so does an unreadable or
+malformed ``table:<path>`` file.
 CSVs carry ``#`` comments with a schema version, the units and every option
 the command takes but ``--out``/``--workers``; identical configurations
 rerun byte-identically.  Failed sweep points become ``# error:`` lines and
 a nonzero exit status.  Sweep workers: --workers, else
 SALPETER_BOUNDS_WORKERS, else (unset or empty) all cores; both take only an
-integer >= 1.  Rows keep input order.
+integer >= 1, and a sweep starts no more processes than it has rows.  Rows
+keep input order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from . import bounds, potentials, solver
-from .errors import PotentialClassError, SalpeterBoundsError
+from .errors import DomainError, PotentialClassError, SalpeterBoundsError
 from .specfun import QuadratureSpec
 
 SCHEMA_VERSION = 1
@@ -122,7 +124,10 @@ def _fmt(x) -> str:
 def _make_potential(opts) -> potentials.PotentialModel:
     spec = opts["potential"]
     if spec.startswith("table:"):
-        return potentials.load_table(spec[len("table:"):], g=opts["g"])
+        try:
+            return potentials.load_table(spec[len("table:"):], g=opts["g"])
+        except DomainError as exc:
+            _usage_error(str(exc))
     makers = {"exp": potentials.exponential, "pexp": potentials.power_exponential,
               "sing": potentials.singular, "log": potentials.logarithmic}
     if spec not in makers:
@@ -386,7 +391,9 @@ def _write_csv(path, schema, config_line, header, rows, error_lines):
 
 
 def _run_sweep(jobs, worker, workers: int):
-    """Evaluate jobs, preserving input order; exceptions become per-row errors."""
+    """Evaluate jobs, preserving input order; exceptions become per-row errors.
+    The pool gets at most one process per job; one process runs serially."""
+    workers = min(workers, len(jobs))
     results = []
     with contextlib.ExitStack() as stack:
         if workers > 1:

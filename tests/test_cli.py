@@ -2,6 +2,7 @@
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -131,9 +132,11 @@ def test_unreadable_table_is_a_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "table.dat"
     if content is not None:
         path.write_text(content)
-    code, _, err = run_cli(["bound3d", "--potential", f"table:{path}"], capsys)
-    assert code == 1
-    assert err.startswith(f"error: cannot read table {path}")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound3d", "--potential", f"table:{path}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"salpeter-bounds: error: cannot read table {path}")
     assert err.count("\n") == 1
 
 
@@ -294,6 +297,24 @@ def test_sweep_records_row_errors_and_continues(tmp_path):
     results = cli._run_sweep(jobs, worker, workers=1)
     assert [r[1] for r in results] == [(1,), None, (3,)]
     assert results[1][2] == "ValueError: boom"
+
+
+@pytest.mark.parametrize("n_jobs, workers, pools", [
+    (1, 6, []),   # one row: no pool at all
+    (3, 6, [3]),  # no idle processes beyond the rows
+    (6, 2, [2]),  # the benchmark's fig2_pool shape keeps its pool of 2
+])
+def test_sweep_pool_is_sized_to_the_jobs(monkeypatch, n_jobs, workers, pools):
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    results = cli._run_sweep(list(range(n_jobs)), lambda job: (job,), workers)
+    assert [r[1] for r in results] == [(job,) for job in range(n_jobs)]
+    assert sizes == pools
 
 
 def test_grid_parsing_errors():
