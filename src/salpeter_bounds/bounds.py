@@ -39,6 +39,7 @@ from .errors import (
 from .potentials import (
     PotentialModel,
     TruncatedPotential,
+    _tail_limit,
     evaluate,
     length_scale,
     min_value,
@@ -193,15 +194,15 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
     Points where the norm diverges are skipped; if every point diverges the
     potential is out of the bound's class.
     """
+    def safe(q):
+        try:
+            return term(q)
+        except (DivergentNormError, DomainError):
+            return math.inf
+
     hi, endpoint = (_Q_HI_3D, False) if dim == 3 else (_Q_HI_1D, True)
     grid = np.linspace(1.0, hi, _Q_POINTS, endpoint=endpoint)
-    values = []
-    for q in grid:
-        try:
-            values.append(term(float(q)))
-        except (DivergentNormError, DomainError):
-            values.append(math.inf)
-    values = np.asarray(values)
+    values = np.asarray([safe(float(q)) for q in grid])
     if not np.any(np.isfinite(values)):
         raise PotentialClassError(
             "negative part is not in L^(q/(q-1)) for any admissible q; "
@@ -214,12 +215,6 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
     hi = float(grid[i + 1]) if i + 1 < len(grid) else float(grid[i])
     if hi <= lo:
         return q_best, t_best
-
-    def safe(q):
-        try:
-            return term(q)
-        except (DivergentNormError, DomainError):
-            return math.inf
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -251,8 +246,7 @@ def _optimize(V, m, alpha, dim, spec) -> BoundReport:
 
     q_opt, t_opt = _minimize_term(term, dim)
     mass_bound = alpha * m - t_opt
-    sup = sup_negative(V)
-    trivial = alpha * m - sup if math.isfinite(sup) else -math.inf
+    trivial = alpha * m - sup_negative(V)  # -inf when V is unbounded below
     s = _conjugate(q_opt)
     norm = negative_part_norm(V, s, dim, spec)
     if q_opt == 1.0:
@@ -318,7 +312,7 @@ def critical_coupling_bound_3d(
     """
     _check_mass_alpha(m, alpha)
     spec = spec or DEFAULT_QUADRATURE
-    shape = with_coupling(V, 1.0) if V.g != 1.0 else V
+    shape = with_coupling(V, 1.0)
 
     def term(q):
         return _norm_term(shape, m, q, 3, spec)
@@ -327,12 +321,6 @@ def critical_coupling_bound_3d(
     if t_opt == 0.0:
         return math.inf
     return alpha * m / t_opt
-
-
-def _has_decaying_tail(V: PotentialModel) -> bool:
-    # kinds for which V -> 0 at large r, putting a hard cap C <= 0 on the
-    # admissible cutoff window
-    return V.kind.value in ("exp", "pexp", "sing", "table")
 
 
 def cutoff_for_exponent(
@@ -359,7 +347,9 @@ def cutoff_for_exponent(
             values[C] = _norm_term(TruncatedPotential(V, C), m, q, dim, spec) / (alpha * m)
         return values[C]
 
-    cap = 0.0 if _has_decaying_tail(V) else None
+    # above lim V at large r, (C - V)^+ does not decay: a hard cap on C,
+    # finite (0) for the decaying kinds
+    cap = _tail_limit(V)
     vmin = min_value(V)
 
     if q == 1.0:
@@ -367,7 +357,7 @@ def cutoff_for_exponent(
         if not math.isfinite(vmin):
             return -math.inf, math.inf, False
         root = vmin + alpha * m
-        if cap is not None and root > cap:
+        if root > cap:
             return cap, abs(lhs(cap) - 1.0), True
         return root, 0.0, False
 
@@ -391,11 +381,10 @@ def cutoff_for_exponent(
         if c_lo is None:
             return -math.inf, math.inf, False
 
-    if cap is not None:
+    if math.isfinite(cap):
         top = cap
-        at_top = lhs(top)
-        if at_top <= 1.0:
-            return top, abs(at_top - 1.0), True
+        if lhs(top) <= 1.0:
+            return top, abs(lhs(top) - 1.0), True
     else:
         top = max(scale, c_lo + scale)
         for _ in range(200):
@@ -444,15 +433,9 @@ def confining_bound(
 
     try:
         q_star, _ = _minimize_term(neg_c_star, dim)
+        c_star, residual, at_cap = solved[q_star]
     except PotentialClassError:
-        return TruncationResult(
-            q_star=math.nan,
-            c_star=-math.inf,
-            mass_bound=-math.inf,
-            residual=math.inf,
-            vacuous=True,
-        )
-    c_star, residual, at_cap = solved[q_star]
+        q_star, c_star = math.nan, -math.inf
     if not math.isfinite(c_star):
         return TruncationResult(
             q_star=q_star,

@@ -150,8 +150,8 @@ def _parse_grid(text, kind) -> list[float]:
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         _usage_error(f"bad grid {text!r}; expected a:b:n")
-    if n < 1 or a <= 0 or (n > 1 and b <= a):
-        _usage_error(f"grid {text!r} must be positive, increasing, n >= 1")
+    if n < 1 or not (math.isfinite(a) and math.isfinite(b)) or a <= 0 or (n > 1 and b <= a):
+        _usage_error(f"grid {text!r} must be finite, positive, increasing, n >= 1")
     if n == 1:
         return [a]
     grid = np.geomspace(a, b, n) if kind == "geom" else np.linspace(a, b, n)
@@ -163,8 +163,9 @@ def _parse_list(text) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         _usage_error(f"bad list {text!r}; expected numbers separated by commas")
-    if not values or any(b <= a for a, b in zip(values, values[1:])):
-        _usage_error(f"list {text!r} must be nonempty and strictly increasing")
+    finite = all(map(math.isfinite, values))
+    if not values or not finite or any(b <= a for a, b in zip(values, values[1:])):
+        _usage_error(f"list {text!r} must be nonempty, finite and strictly increasing")
     return values
 
 
@@ -232,6 +233,8 @@ def _fig2_point(job) -> dict:
 
 def _fig1_jobs(opts) -> list[dict]:
     kinds = [k.strip() for k in opts["potentials"].split(",") if k.strip()]
+    if not kinds:
+        _usage_error("fig1 potentials must name at least one of exp,pexp,sing")
     for kind in kinds:
         if kind not in ("exp", "pexp", "sing"):
             _usage_error(f"fig1 potentials must be from exp,pexp,sing; got {kind!r}")

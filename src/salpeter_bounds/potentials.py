@@ -18,15 +18,15 @@ C = 0 and for log at every C, singularity-aware quadrature for exp/pexp/sing
 below C = 0, and piecewise quadrature for tables.  ``_quadrature_norm`` also
 covers C = 0 and log, as the independent check of the closed forms.
 The quadrature integrands evaluate V through scalar kernels that repeat the
-array path's floating-point operations on a float, ``_profile`` for the
-parametric kinds and ``_piecewise_poly`` for tables, so they give the bits
-``evaluate`` gives at a fraction of its per-call cost.  The two hottest
-integrands, ``_table_integrand`` and the singular head ``_singular_head``,
-are each one closure doing those operations with their constants hoisted,
-over per-table data cached by ``_table_pieces``.  Table pieces on which
-(C - V)^+ vanishes are not integrated (their quadrature is exactly 0), and
-the power-law head below the first table radius is integrated over its
-closed-form support.
+array path's floating-point operations on a float, so they give the bits
+``evaluate`` gives at a fraction of its per-call cost: ``_profile`` for the
+parametric kinds, and for tables ``_table_integrand``, the one scalar
+evaluator of the interpolant.  It and the singular head ``_singular_head``
+are each one closure doing those operations with their constants hoisted.
+Each table's interpolant, pieces, knot minimum and head power law are one
+record, built once by ``_table``.  Table pieces on which (C - V)^+ vanishes
+are not integrated (their quadrature is exactly 0), and the power-law head
+below the first table radius is integrated over its closed-form support.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergentNormError, DomainError
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, _quad, _tail
+from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, _log_tail_end, _quad, _tail
 
 __all__ = [
     "PotentialKind",
@@ -156,59 +156,28 @@ class TruncatedPotential:
     cutoff: float
 
 
+class _Table(NamedTuple):
+    """The per-table data, built once per table by ``_table``."""
+
+    pp: PPoly  # the interpolant, nan outside the knots
+    knots: tuple[float, ...]
+    coeffs: tuple[tuple[float, ...], ...]  # per piece, constant term first
+    knot_min: float  # least interpolant value at the knots
+    p: float  # head power law v0 (r/r0)^p below the first radius
+    v0: float
+
+
 @lru_cache(maxsize=256)
-def _interpolant(model: PotentialModel) -> PPoly:
+def _table(model: PotentialModel) -> _Table:
     pts = np.asarray(model.table, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     if model.interp == "pchip":
-        return PchipInterpolator(x, y, extrapolate=False)
-    slopes = np.diff(y) / np.diff(x)
-    return PPoly(np.vstack([slopes, y[:-1]]), x, extrapolate=False)
-
-
-def _poly_pieces(pp: PPoly) -> tuple[list[float], list[list[float]]]:
-    """pp's knots, and per piece its local coefficients from the constant term up."""
-    return pp.x.tolist(), [column[::-1] for column in pp.c.T.tolist()]
-
-
-def _piecewise_poly(pp: PPoly):
-    """A float -> float evaluator of pp with PPoly.__call__'s floating-point
-    operations (no extrapolation: nan outside the knots).  The interval is
-    found as scipy's find_interval does, the last one closed on the right,
-    and the local polynomial is summed from its constant term up, as in
-    scipy's evaluate_poly1."""
-    knots, coeffs = _poly_pieces(pp)
-    first, last, last_piece = knots[0], knots[-1], len(knots) - 2
-
-    def value(r: float) -> float:
-        if not first <= r <= last:
-            return math.nan
-        i = min(bisect.bisect_right(knots, r) - 1, last_piece)
-        t = r - knots[i]
-        total, z = 0.0, 1.0
-        for c in coeffs[i]:
-            total += c * z
-            z *= t
-        return total
-
-    return value
-
-
-class _TablePieces(NamedTuple):
-    knots: tuple[float, ...]
-    coeffs: tuple[tuple[float, ...], ...]  # per piece, constant term first
-    profile: Callable[[float], float]  # _piecewise_poly of the interpolant
-    knot_min: float  # least interpolant value at the knots
-
-
-@lru_cache(maxsize=256)
-def _table_pieces(model: PotentialModel) -> _TablePieces:
-    """The per-table data of the norm quadrature, built once per table."""
-    pp = _interpolant(model)
-    profile = _piecewise_poly(pp)
-    knots, coeffs = _poly_pieces(pp)
-    return _TablePieces(tuple(knots), tuple(map(tuple, coeffs)), profile,
-                        min(map(profile, knots)))
+        pp = PchipInterpolator(x, y, extrapolate=False)
+    else:
+        pp = PPoly(np.vstack([np.diff(y) / np.diff(x), y[:-1]]), x, extrapolate=False)
+    coeffs = tuple(tuple(column[::-1]) for column in pp.c.T.tolist())
+    return _Table(pp, tuple(pp.x.tolist()), coeffs, min(pp(pp.x).tolist()),
+                  *_table_head_power(model))
 
 
 def _table_head_power(model: PotentialModel) -> tuple[float, float]:
@@ -219,26 +188,22 @@ def _table_head_power(model: PotentialModel) -> tuple[float, float]:
     are thereby integrable or not exactly as their small-r behavior demands.
     """
     (r0, v0), (r1, v1) = model.table[0], model.table[1]
-    if r0 == 0.0:
-        return 0.0, v0
-    if v0 < 0.0 and v1 < 0.0 and r1 > r0:
-        p = math.log(v1 / v0) / math.log(r1 / r0)
-        return p, v0
+    if r0 > 0.0 and v0 < 0.0 and v1 < 0.0:
+        return math.log(v1 / v0) / math.log(r1 / r0), v0
     return 0.0, v0
 
 
 def _eval_table(model: PotentialModel, r: np.ndarray) -> np.ndarray:
     # inside [r_first, r_last]: interpolant; beyond the table: 0; below it:
     # the fitted power-law head
-    interp = _interpolant(model)
+    tab = _table(model)
     r0 = model.table[0][0]
     rN = model.table[-1][0]
-    out = np.asarray(interp(np.clip(r, r0, rN)), dtype=float)
+    out = np.asarray(tab.pp(np.clip(r, r0, rN)), dtype=float)
     out = np.where(r > rN, 0.0, out)
     if np.any(r < r0):
-        p, v0 = _table_head_power(model)
         with np.errstate(divide="ignore", over="ignore"):
-            head = v0 * (np.maximum(r, 1e-320) / r0) ** p
+            head = tab.v0 * (np.maximum(r, 1e-320) / r0) ** tab.p
         out = np.where(r < r0, head, out)
     return out
 
@@ -291,8 +256,8 @@ def min_value(V: PotentialModel) -> float:
         return -V.g / (math.e * V.R)
     if V.kind in (PotentialKind.SINGULAR, PotentialKind.LOGARITHMIC):
         return -math.inf
-    p, v0 = _table_head_power(V)
-    if p < 0.0 and v0 < 0.0:
+    tab = _table(V)
+    if tab.p < 0.0 and tab.v0 < 0.0:
         return -math.inf
     # monotone interpolation attains its extrema at the knots
     return V.g * min(0.0, min(v for _, v in V.table))
@@ -337,14 +302,13 @@ def _closed_form_norm(V: PotentialModel, s: float, dim: int) -> float:
         else:  # SINGULAR
             inner = (math.log(4.0 * math.pi) + math.lgamma(3.0 - s / 2.0)
                      + (3.0 - s / 2.0) * -math.log(s))
-        return g * math.exp((3.0 / s - 1.0) * math.log(R) + inner / s)
-    if V.kind is PotentialKind.EXPONENTIAL:
+    elif V.kind is PotentialKind.EXPONENTIAL:
         inner = math.log(2.0) - math.log(s)
     elif V.kind is PotentialKind.POWER_EXPONENTIAL:
         inner = math.log(2.0) + math.lgamma(s + 1.0) - (s + 1.0) * math.log(s)
     else:  # SINGULAR
         inner = math.log(2.0) + math.lgamma(1.0 - s / 2.0) + (1.0 - s / 2.0) * -math.log(s)
-    return g * math.exp((1.0 / s - 1.0) * math.log(R) + inner / s)
+    return g * math.exp((dim / s - 1.0) * math.log(R) + inner / s)
 
 
 def _log_norm(V: PotentialModel, C: float, s: float, dim: int) -> float:
@@ -376,15 +340,12 @@ def _log_head_norm(amp: float, scale: float, s: float, dim: int, spec) -> float:
             "the Gamma closed form covers larger exponents"
         )
     spec = _power_spec(spec, s)
-    t_max = max(45.0, -math.log(spec.abs_tol))
-    for _ in range(8):
-        t_max = (-math.log(spec.abs_tol / 256.0) + s * math.log1p(t_max)) / dim
     w_const = 4.0 * math.pi if dim == 3 else 2.0
 
     def f(t):
         return math.exp(s * math.log(t) - dim * t) if t > 0.0 else 0.0
 
-    base = _quad(f, 0.0, min(t_max, 700.0), spec, spec.abs_tol / 4.0)
+    base = _quad(f, 0.0, _log_tail_end(s, dim, spec.abs_tol), spec, spec.abs_tol / 4.0)
     ln_power = math.log(w_const) + s * math.log(amp) + dim * math.log(scale) + math.log(base)
     return math.exp(ln_power / s)
 
@@ -440,10 +401,13 @@ def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
 
 def _table_integrand(V: PotentialModel, C: float, k: float, s: float, dim: int):
     """w(r) ((C - V(r))^+ / k)^s of a tabulated potential on its knot range:
-    _weight(dim, r) * _scaled_power(max(0, C - g _piecewise_poly(r)), k, s)
-    operation for operation, in one closure over the cached pieces (k > 0)."""
-    pieces = _table_pieces(V)
-    knots, coeffs = pieces.knots, pieces.coeffs
+    _weight(dim, r) * _scaled_power(max(0, C - g pp(r)), k, s) operation for
+    operation, in one closure over the table's pieces (k > 0).  The interval
+    is found as scipy's find_interval does, the last one closed on the right,
+    and the local polynomial is summed from its constant term up, as in
+    scipy's evaluate_poly1, so it gives the bits PPoly.__call__ gives."""
+    tab = _table(V)
+    knots, coeffs = tab.knots, tab.coeffs
     first, last, last_piece = knots[0], knots[-1], len(knots) - 2
     g, ln_k, four_pi = V.g, math.log(k), 4.0 * math.pi
 
@@ -480,8 +444,8 @@ def _table_head(V: PotentialModel, C: float, k: float, s: float, dim: int, spec)
     r0 = V.table[0][0]
     if r0 == 0.0:
         return 0.0
-    p, v0 = _table_head_power(V)
-    v0 = V.g * v0
+    tab = _table(V)
+    p, v0 = tab.p, V.g * tab.v0
     # fuzz absorbs roundoff in the fitted exponent at the critical s
     if v0 < 0.0 and p < 0.0 and p * s + dim <= 1e-9:
         raise DivergentNormError(
@@ -515,29 +479,25 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     piece where (C - V)^+ vanishes at the midpoint vanishes throughout; its
     quadrature would return exactly 0.0 and is skipped.
     """
-    if C > 0.0:
-        # the potential vanishes beyond the table, so (C - V)^+ -> C there
-        raise DivergentNormError(
-            "cutoff above the potential's vanishing tail: (C - V)^+ does not decay"
-        )
     spec = _power_spec(spec, s)
-    pieces = _table_pieces(V)
+    tab = _table(V)
     # monotone interpolation attains its extrema at the knots; C - g v falls
     # monotonically in v, in floating point too
-    knot_sup = max(0.0, C - V.g * pieces.knot_min)
+    knot_sup = max(0.0, C - V.g * tab.knot_min)
     k = knot_sup if knot_sup > 0.0 else 1.0
     f = _table_integrand(V, C, k, s, dim)
 
     crossings = [
         float(c)
-        for c in np.ravel(_interpolant(V).solve(C / V.g, extrapolate=False))
+        for c in np.ravel(tab.pp.solve(C / V.g, extrapolate=False))
         if np.isreal(c)
     ]
-    points = sorted({*pieces.knots, *crossings})
+    points = sorted({*tab.knots, *crossings})
+    mids = tab.pp([0.5 * (a + b) for a, b in zip(points, points[1:])]).tolist()
     total = 0.0
     n_pieces = max(1, len(points) - 1)
-    for a, b in zip(points, points[1:]):
-        if b > a and C - V.g * pieces.profile(0.5 * (a + b)) > 0.0:
+    for a, b, v in zip(points, points[1:], mids):
+        if C - V.g * v > 0.0:
             total += _quad(f, a, b, spec, spec.abs_tol / (4.0 * n_pieces))
     total += _table_head(V, C, k, s, dim, spec)
     if total == 0.0:
@@ -545,21 +505,20 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     return k * total ** (1.0 / s)
 
 
-def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
-    """Support interval (a, b) of (C - V)^+ for the parametric kinds.
+def _tail_limit(V: PotentialModel) -> float:
+    """lim V at large r: the largest cutoff C for which (C - V)^+ decays.
+    Tables vanish beyond their last radius."""
+    return math.inf if V.kind is PotentialKind.LOGARITHMIC else 0.0
 
-    b is infinite at C = 0 for the decaying kinds, where (C - V)^+ = V^-.
-    Raises DivergentNormError when C is above the large-r limit of a
-    decaying potential.
+
+def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
+    """Support interval (a, b) of (C - V)^+ for the parametric kinds, at
+    C <= _tail_limit(V).  b is infinite at C = 0 for the decaying kinds,
+    where (C - V)^+ = V^-.
     """
     g, R = V.g, V.R
     if V.kind is PotentialKind.LOGARITHMIC:
         return 0.0, R * math.exp(C * R / g)
-    if C > 0.0:
-        raise DivergentNormError(
-            f"cutoff C = {C:g} > 0: (C - V)^+ tends to C at large r and its "
-            "norm diverges for a decaying potential"
-        )
     if C == 0.0:
         return 0.0, math.inf
     if V.kind is PotentialKind.EXPONENTIAL:
@@ -662,6 +621,11 @@ def truncated_negative_norm(
     if s == math.inf:
         return max(0.0, C - min_value(V))
     _check_norm_args(V, s, dim)
+    if C > _tail_limit(V):
+        raise DivergentNormError(
+            f"cutoff C = {C:g} > 0: (C - V)^+ tends to C at large r and its "
+            "norm diverges for a decaying potential"
+        )
     spec = spec or DEFAULT_QUADRATURE
     if V.kind is PotentialKind.LOGARITHMIC:
         return _log_norm(V, C, s, dim)

@@ -57,6 +57,8 @@ __all__ = [
 # boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD
 _TAIL_THRESHOLD = 1e-8
 _MAX_BOX_DOUBLINGS = 4
+# the largest grid count of the refinement loop and the coupling root
+_MAX_GRID = 16384
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class SolverConfig:
     """Numerical configuration of the oracle (GeV units).
 
     ``L = None`` selects the default box 20 * max(R, 1/m), and ``N`` is the
-    starting grid count of the refinement loop.
+    starting grid count of the refinement loop; it must leave room for one
+    doubling within ``_MAX_GRID``.
     """
 
     m: float = 1.0
@@ -73,7 +76,6 @@ class SolverConfig:
     L: float | None = None
     N: int = 256
     eigen_tol: float = 1e-6
-    max_grid: int = 16384
 
     def __post_init__(self):
         _check_mass_alpha(self.m, self.alpha)
@@ -81,6 +83,9 @@ class SolverConfig:
             raise DomainError(f"dimension must be 1 or 3, got {self.dimension!r}")
         if self.N < 16:
             raise DomainError("grid count must be at least 16")
+        if self.N > _MAX_GRID // 2:
+            raise DomainError(f"grid count must be at most {_MAX_GRID // 2}, "
+                              f"so that it can double within {_MAX_GRID}")
         if self.L is not None and not self.L > 0.0:
             raise DomainError("box size must be positive")
         if not self.eigen_tol > 0.0:
@@ -230,7 +235,7 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
         M, grid, u = solve(V, m, alpha, L, N)
         converged = False
         delta = math.inf
-        while 2 * N <= cfg.max_grid:
+        while 2 * N <= _MAX_GRID:
             M2, grid2, u2 = solve(V, m, alpha, L, 2 * N)
             delta = abs(M - M2)
             M, grid, u, N = M2, grid2, u2, 2 * N
@@ -238,15 +243,11 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
                 converged = True
                 break
         if not converged:
-            if best is not None:
-                raise ConvergenceError(
-                    f"ground state not converged to {cfg.eigen_tol:g} at N = {N} "
-                    f"in the doubled box L = {L:g}; the box L = {best.box_size:g} "
-                    f"left boundary amplitude {best.boundary_amplitude:.3g}"
-                )
+            doubled = "" if best is None else (
+                f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
+                f"left boundary amplitude {best.boundary_amplitude:.3g}")
             raise ConvergenceError(
-                f"ground state not converged to {cfg.eigen_tol:g} at N = {N}"
-            )
+                f"ground state not converged to {cfg.eigen_tol:g} at N = {N}{doubled}")
         tail = _boundary_amplitude(u, dim)
         best = SpectrumResult(
             mass=M,
@@ -263,10 +264,10 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
         # only a genuinely bound state can have an untrapped tail; free-like
         # states legitimately fill the box.  Stop when a doubled box could not
         # reach the current spacing within the grid budget.
-        if tail <= _TAIL_THRESHOLD or M >= alpha * m or 2 * N > cfg.max_grid:
+        if tail <= _TAIL_THRESHOLD or M >= alpha * m or 2 * N > _MAX_GRID:
             break
         L *= 2.0
-        n_start = min(2 * n_start, cfg.max_grid // 2)  # keep the grid spacing
+        n_start = min(2 * n_start, _MAX_GRID // 2)  # keep the grid spacing
     return best
 
 
@@ -318,7 +319,7 @@ def critical_coupling_exact(
     m, alpha = cfg.m, cfg.alpha
     stability = grid_stability_rel if grid_stability_rel is not None else g_tol_rel
     dim = cfg.dimension
-    shape = with_coupling(v, 1.0) if v.g != 1.0 else v
+    shape = with_coupling(v, 1.0)
     solve = solve_once_3d if dim == 3 else solve_once_1d
     L = cfg.L if cfg.L is not None else _default_box(shape, m)
     # |M| below the eigensolver's noise has no reliable sign: such a coupling
@@ -424,7 +425,7 @@ def critical_coupling_exact(
     gc = converge(lo, hi, N)
     gc_prev = None
     while gc_prev is None or abs(gc - gc_prev) > stability * gc:
-        if 2 * N > cfg.max_grid:
+        if 2 * N > _MAX_GRID:
             raise ConvergenceError(
                 f"critical coupling not stable under grid doubling at N = {N}"
             )

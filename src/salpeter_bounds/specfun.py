@@ -193,10 +193,10 @@ def _k0_small(x: float) -> float:
     return -(math.log(0.5 * x) + _EULER_GAMMA) * i0 + s
 
 
-def _k1_small(x: float) -> float:
-    # Ascending series, x <= 2:
-    # K1 = 1/x + ln(x/2) I1(x)
-    #      - (x/4) sum_{k>=0} [psi(k+1) + psi(k+2)] (x^2/4)^k / (k! (k+1)!)
+def _k1_series(x: float, floor: float) -> tuple[float, float]:
+    # Ascending series of K1, x <= 2: returns I1(x) and
+    #   S(x) = sum_{k>=0} [psi(k+1) + psi(k+2)] (x^2/4)^k / (k! (k+1)!),
+    # summed until a term falls below 1e-18 max(|S|, floor)
     t = 0.25 * x * x
     i1 = 0.5 * x
     term_i = 0.5 * x
@@ -212,8 +212,14 @@ def _k1_small(x: float) -> float:
         hk1 += 1.0 / (k + 1)
         ds = (hk + hk1 - 2.0 * _EULER_GAMMA) * term
         s += ds
-        if abs(ds) < 1e-18 * abs(s):
+        if abs(ds) < 1e-18 * max(abs(s), floor):
             break
+    return i1, s
+
+
+def _k1_small(x: float) -> float:
+    # K1 = 1/x + ln(x/2) I1(x) - (x/4) S(x), x <= 2
+    i1, s = _k1_series(x, 0.0)
     return 1.0 / x + math.log(0.5 * x) * i1 - 0.25 * x * s
 
 
@@ -243,29 +249,13 @@ def bessel_k1(x: float) -> float:
 
 def _xk1(x: float) -> float:
     # x * K1(x), evaluated without cancellation down to x = 0 (limit 1):
-    # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x) with the same S as _k1_small.
+    # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x), the series of _k1_small.
     if x <= 0.0:
         return 1.0
     if x > 2.0:
         return x * bessel_k1(x)
-    t = 0.25 * x * x
-    i1 = 0.5 * x
-    term_i = 0.5 * x
-    term = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    s = (hk + hk1 - 2.0 * _EULER_GAMMA) * term
-    for k in range(1, 40):
-        term *= t / (k * (k + 1))
-        term_i *= t / (k * (k + 1))
-        i1 += term_i
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        ds = (hk + hk1 - 2.0 * _EULER_GAMMA) * term
-        s += ds
-        if abs(ds) < 1e-18 * max(abs(s), 1.0):
-            break
-    return 1.0 + x * math.log(0.5 * x) * i1 - t * s
+    i1, s = _k1_series(x, 1.0)
+    return 1.0 + x * math.log(0.5 * x) * i1 - 0.25 * x * x * s
 
 
 def _pow_self(t: float) -> float:
@@ -380,16 +370,22 @@ def k1_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
     return _k1_power_integral_cached(float(q), spec or DEFAULT_QUADRATURE)
 
 
+def _log_tail_end(power: float, rate: float, abs_tol: float) -> float:
+    # T with int_T^inf t^power e^(-rate t) dt negligible against abs_tol: 8
+    # steps towards rate T = ln(256/abs_tol) + power ln(1 + T), capped at 700
+    t_max = max(45.0, -math.log(abs_tol))
+    for _ in range(8):
+        t_max = (-math.log(abs_tol / 256.0) + power * math.log1p(t_max)) / rate
+    return min(t_max, 700.0)
+
+
 @lru_cache(maxsize=4096)
 def _k0_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
     # head: substitute x = exp(-t), absorbing the log^q endpoint singularity:
     #   int_0^1 K0(x)^q dx = int_0^inf K0(e^-t)^q e^-t dt
     # The transformed integrand decays like t^q e^-t; pick T so the remainder
     # is negligible, then integrate the smooth finite piece.
-    t_max = max(45.0, -math.log(spec.abs_tol))
-    for _ in range(8):
-        t_max = -math.log(spec.abs_tol / 256.0) + q * math.log1p(t_max)
-    t_max = min(t_max, 700.0)
+    t_max = _log_tail_end(q, 1.0, spec.abs_tol)
 
     def head(t: float) -> float:
         x = math.exp(-t)

@@ -453,3 +453,28 @@ def test_bad_workers_value_exits_2_from_every_source(source, tmp_path, monkeypat
         cli.main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# nan compares false with everything, so it once passed the ordering checks
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--g-list", "1,nan,2"], "list '1,nan,2' must be nonempty, finite and strictly "
+     "increasing"),
+    (["fig2", "--g-list", "1,inf"], "list '1,inf' must be nonempty, finite and strictly "
+     "increasing"),
+    (["fig2", "--g-list", "0.5", "--m-grid", "nan:2:2"], "grid 'nan:2:2' must be finite, "
+     "positive, increasing, n >= 1"),
+    (["fig1", "--beta-grid", "1:inf:3"], "grid '1:inf:3' must be finite, positive, "
+     "increasing, n >= 1"),
+    (["fig1", "--potentials", ","], "fig1 potentials must name at least one of exp,pexp,sing"),
+])
+def test_sweep_inputs_that_give_no_valid_rows_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", "-"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"salpeter-bounds: error: {message}\n")
+
+
+def test_grid_count_with_no_room_to_refine_fails_at_once(capsys):
+    code, _, err = run_cli(["solve", "--N", "16384"], capsys)
+    assert code == 1
+    assert err == "error: grid count must be at most 8192, so that it can double within 16384\n"

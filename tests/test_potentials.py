@@ -50,21 +50,6 @@ def test_profile_kernel_matches_evaluate_bit_for_bit(make):
         assert pot._profile(V, r) == v == pot.evaluate(V, r)
 
 
-@pytest.mark.parametrize("interp", ["pchip", "linear"])
-def test_table_kernel_matches_ppoly_bit_for_bit(interp):
-    radii = [0.0] + np.geomspace(0.02, 12.0, 39).tolist()
-    values = [-9.0 * math.exp(-r / 0.8) - 1.8 * r * math.exp(-r / 1.5) for r in radii]
-    pp = pot._interpolant(pot.tabulated(radii, values, interp=interp))
-    kernel = pot._piecewise_poly(pp)
-    # random points, every knot, and the neighbours of every knot (outside
-    # the table both give nan)
-    points = np.random.default_rng(3).uniform(0.0, 12.0, 5000).tolist() + radii
-    points += [math.nextafter(r, d) for r in radii for d in (-math.inf, math.inf)]
-    for r in points:
-        expected = float(pp(r))
-        assert kernel(r) == expected or math.isnan(kernel(r)) and math.isnan(expected)
-
-
 def test_evaluate_domain():
     with pytest.raises(DomainError):
         pot.evaluate(pot.exponential(1.0, 1.0), -0.5)
@@ -444,16 +429,20 @@ def _reference_singular_head_integrand(u, base, k, s, dim):
 @pytest.mark.parametrize("interp", ["pchip", "linear"])
 @pytest.mark.parametrize("dim", [3, 1])
 def test_fused_table_integrand_matches_generic_composition(interp, dim):
+    # the reference evaluates the interpolant with PPoly itself (nan outside
+    # the knots), at random nodes, every knot and both neighbours of each
     V = _benchmark_like_table(g=1.3, interp=interp)
-    profile = pot._piecewise_poly(pot._interpolant(V))
+    pp = pot._table(V).pp
+    knots = [r for r, _ in V.table]
     rng = np.random.default_rng(11 + dim)
     cases = [(-12.0, 3.0, 1.0), (-4.0, 7.5, 3.0), (-0.5, 140.0, 11.0), (-6.0, 300.0, 1e-3)]
     for C, s, k in cases:  # the last two reach the exp clamps at both ends
         f = pot._table_integrand(V, C, k, s, dim)
-        nodes = rng.uniform(0.0, 12.0, 2000).tolist() + [0.0, 12.0, 12.5]
+        nodes = rng.uniform(0.0, 12.0, 2000).tolist() + [0.0, 12.0, 12.5] + knots
+        nodes += [math.nextafter(r, d) for r in knots for d in (-math.inf, math.inf)]
         for r in nodes:
             generic = pot._weight(dim, r) * pot._scaled_power(
-                max(0.0, C - V.g * profile(r)), k, s)
+                max(0.0, C - V.g * float(pp(r))), k, s)
             # 0 * inf at r = 0 is nan on both paths
             assert _same_float(f(r), generic), (C, s, k, r)
 
@@ -475,11 +464,10 @@ def _reference_table_norm(V, s, dim, spec, C):
     # every piece between knots and crossings integrated, none skipped, with
     # the generic integrand and knot_sup taken over the knots one by one
     spec = pot._power_spec(spec, s)
-    interp = pot._interpolant(V)
-    profile = pot._piecewise_poly(interp)
+    interp = pot._table(V).pp
 
     def base(r):
-        return max(0.0, C - V.g * profile(r))
+        return max(0.0, C - V.g * float(interp(r)))
 
     knot_sup = max((base(r) for r, _ in V.table), default=0.0)
     k = knot_sup if knot_sup > 0.0 else 1.0
@@ -561,6 +549,39 @@ def test_norm_golden_values(kind, C, s, dim, want):
     else:
         V = pot.singular(5.0, 1.0)
     assert pot.truncated_negative_norm(TruncatedPotential(V, C), s, dim).hex() == want
+
+
+def _head_tables():
+    # r0 > 0 both: a sampled r^(-1/2) well (head power p < 0, unbounded
+    # below) and a linear table whose head p > 0 rises to v0 at r0
+    r = np.geomspace(0.3, 30.0, 40)
+    rr = np.geomspace(0.2, 12.0, 25)
+    return {"sing": pot.tabulated(r, pot.evaluate(pot.singular(5.0, 1.0), r)),
+            "rising": pot.tabulated(rr, -2.0 * (1.0 - np.exp(-rr / 0.4)) * np.exp(-rr / 3.0),
+                                    g=1.3, interp="linear")}
+
+
+# float.hex of evaluate and min_value recorded before each table's data
+# became one record; below r0 the head, inside the interpolant, beyond it 0
+@pytest.mark.parametrize("name, vmin, want", [
+    ("sing", "-inf", ["-0x1.91529f0905e5dp+17", "-0x1.b59ff82f5b942p+6",
+                      "-0x1.7da16ae96ad75p+3", "-0x1.b0ee8bafacf71p+2",
+                      "-0x1.b0d04f1d10b9cp+2", "-0x1.51b19ea79eeaap+1",
+                      "-0x1.a04d1e6f67144p-4", "-0x1.38464c8ebca95p-17",
+                      "-0x1.35381f82bf09ep-17", "-0x1.8b2a71b6b3452p-44",
+                      "-0x1.80b60954e6b88p-44", "0x0.0p+0"]),
+    ("rising", "-0x1.b87bdc055bb3dp+0", [
+        "-0x1.f63f799d8c616p-13", "-0x1.000ac05acad3bp-3", "-0x1.93025acf0f5fbp-1",
+        "-0x1.3d06c8ead1971p+0", "-0x1.3d15e0d7ba070p+0", "-0x1.b7611d14bdecap+0",
+        "-0x1.bce2adc5b7ddap-1", "-0x1.87ead19cdeb92p-5", "-0x1.861bc3c2b3322p-5",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
+])
+def test_table_golden_values(name, vmin, want):
+    V = _head_tables()[name]
+    assert pot.min_value(V).hex() == vmin
+    rs = [1e-6, 0.01, 0.15, 0.2999, 0.3, 0.77, 3.3, 11.99, 12.0, 29.9, 30.0, 31.0]
+    assert [v.hex() for v in pot.evaluate(V, np.array(rs)).tolist()] == want
+    assert [pot.evaluate(V, r).hex() for r in rs] == want
 
 
 # --- the power-law head below the first table radius ----------------------

@@ -148,9 +148,10 @@ def test_weakly_bound_state_box_doubling():
     assert res.mass == pytest.approx(0.5625, abs=2e-3)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(sv, "_MAX_GRID", 256)
     E = pot.exponential(2.0, 1.0)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, N=64, eigen_tol=1e-14, max_grid=256)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, N=64, eigen_tol=1e-14)
     with pytest.raises(ConvergenceError):
         sv.ground_state_3d_swave(E, cfg)
 
@@ -164,7 +165,8 @@ def test_doubled_box_failure_raises(monkeypatch):
         return (1.0 if L == 20.0 else float(N)), grid, np.ones(N - 1)
 
     monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=64, max_grid=1024)
+    monkeypatch.setattr(sv, "_MAX_GRID", 1024)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=64)
     with pytest.raises(ConvergenceError, match=r"L = 40.*L = 20.*amplitude 1\b"):
         sv.ground_state_3d_swave(ZERO, cfg)
 
@@ -322,3 +324,16 @@ def test_critical_coupling_1d_brackets_survive_cold_solves():
         m_lo = sv.solve_once_1d(pot.with_coupling(shape, lo), 1.0, 2.0, res.box_size, N)[0]
         m_hi = sv.solve_once_1d(pot.with_coupling(shape, hi), 1.0, 2.0, res.box_size, N)[0]
         assert m_lo > 0.0 > m_hi
+
+
+def test_grid_count_must_leave_room_to_double(monkeypatch):
+    # N > _MAX_GRID // 2 could never refine, so it fails before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no eigensolve expected")
+
+    monkeypatch.setattr(sv, "solve_once_3d", no_solve)
+    monkeypatch.setattr(sv, "solve_once_1d", no_solve)
+    for N in (sv._MAX_GRID // 2 + 1, sv._MAX_GRID):
+        with pytest.raises(DomainError, match="at most 8192"):
+            sv.ground_state_3d_swave(ZERO, sv.SolverConfig(N=N))
+    assert sv.SolverConfig(N=sv._MAX_GRID // 2).N == 8192

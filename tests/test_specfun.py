@@ -314,3 +314,24 @@ def test_integral_memoization_stable():
     a = sf.k1_power_integral(1.23)
     b = sf.k1_power_integral(1.23)
     assert a == b
+
+
+# float.hex of K1 and x K1 recorded before the two ascending series of K1
+# became one; they must never move without an intended change of values
+@pytest.mark.parametrize("x, k1, xk1", [
+    (1e-300, "0x1.7e43c8800759bp+996", "0x1.0000000000000p+0"),
+    (1e-30, "0x1.93e5939a08ce9p+99", "0x1.0000000000000p+0"),
+    (1e-08, "0x1.7d783fffffffap+26", "0x1.ffffffffffff7p-1"),
+    (0.001, "0x1.f3ff84bb5db52p+9", "0x1.ffff81c601bfap-1"),
+    (0.05, "0x1.3e8e06aa7ad1cp+4", "0x1.fdb00aaa5e1c7p-1"),
+    (0.3, "0x1.872abf3844936p+1", "0x1.d5667f10524a8p-1"),
+    (0.7, "0x1.0cdf61bbb23d1p+0", "0x1.786bef39f9889p-1"),
+    (1.0, "0x1.342d2f39d89c2p-1", "0x1.342d2f39d89c2p-1"),
+    (1.3, "0x1.7d7d1737c8af0p-2", "0x1.efef6afbb816cp-2"),
+    (1.75, "0x1.90567bae3918cp-3", "0x1.5e4bac3871f5cp-2"),
+    (1.999, "0x1.1ed2739c3fcc2p-3", "0x1.1eadbd0648782p-2"),
+    (2.0, "0x1.1e7200e1d3482p-3", "0x1.1e7200e1d3482p-2"),
+])
+def test_k1_golden_values(x, k1, xk1):
+    assert sf.bessel_k1(x).hex() == k1
+    assert sf._xk1(x).hex() == xk1
