@@ -29,114 +29,14 @@ import os
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .bounds import (
-    BoundReport,
-    TruncationResult,
-    binding_energy_bound_3d,
-    confining_bound,
-    critical_coupling_bound_3d,
-    mass_bound_1d,
-    mass_bound_3d,
-    optimize_mass_bound_1d,
-    optimize_mass_bound_3d,
-)
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DivergentNormError,
-    DomainError,
-    PotentialClassError,
-    SalpeterBoundsError,
-)
-from .potentials import (
-    PotentialKind,
-    PotentialModel,
-    TruncatedPotential,
-    evaluate,
-    evaluate_shifted,
-    evaluate_truncated,
-    exponential,
-    load_table,
-    logarithmic,
-    negative_part_norm,
-    power_exponential,
-    singular,
-    sup_negative,
-    tabulated,
-    truncated_negative_norm,
-    with_coupling,
-)
-from .solver import (
-    CriticalCouplingResult,
-    SolverConfig,
-    SpectrumResult,
-    critical_coupling_exact,
-    ground_state_1d,
-    ground_state_3d_swave,
-)
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    YoungExponents,
-    bessel_k0,
-    bessel_k1,
-    combined_constant,
-    green_norm_1d,
-    green_norm_3d,
-    k0_power_integral,
-    k1_power_integral,
-    young_constant,
-)
+from . import bounds, errors, potentials, solver, specfun
+from .bounds import *
+from .errors import *
+from .potentials import *
+from .solver import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "TruncationResult",
-    "binding_energy_bound_3d",
-    "confining_bound",
-    "critical_coupling_bound_3d",
-    "mass_bound_1d",
-    "mass_bound_3d",
-    "optimize_mass_bound_1d",
-    "optimize_mass_bound_3d",
-    "BracketError",
-    "ConvergenceError",
-    "DivergentNormError",
-    "DomainError",
-    "PotentialClassError",
-    "SalpeterBoundsError",
-    "PotentialKind",
-    "PotentialModel",
-    "TruncatedPotential",
-    "evaluate",
-    "evaluate_shifted",
-    "evaluate_truncated",
-    "exponential",
-    "load_table",
-    "logarithmic",
-    "negative_part_norm",
-    "power_exponential",
-    "singular",
-    "sup_negative",
-    "tabulated",
-    "truncated_negative_norm",
-    "with_coupling",
-    "CriticalCouplingResult",
-    "SolverConfig",
-    "SpectrumResult",
-    "critical_coupling_exact",
-    "ground_state_1d",
-    "ground_state_3d_swave",
-    "DEFAULT_QUADRATURE",
-    "QuadratureSpec",
-    "YoungExponents",
-    "bessel_k0",
-    "bessel_k1",
-    "combined_constant",
-    "green_norm_1d",
-    "green_norm_3d",
-    "k0_power_integral",
-    "k1_power_integral",
-    "young_constant",
-]
+__all__ = [*bounds.__all__, *errors.__all__, *potentials.__all__, *solver.__all__,
+           *specfun.__all__]

@@ -124,14 +124,11 @@ def _fmt(x) -> str:
 def _make_potential(opts) -> potentials.PotentialModel:
     spec = opts["potential"]
     if spec.startswith("table:"):
-        try:
-            return potentials.load_table(spec[len("table:"):], g=opts["g"])
-        except DomainError as exc:
-            _usage_error(str(exc))
+        return potentials.load_table(spec[len("table:"):], g=opts["g"])
     makers = {"exp": potentials.exponential, "pexp": potentials.power_exponential,
               "sing": potentials.singular, "log": potentials.logarithmic}
     if spec not in makers:
-        _usage_error(f"unknown potential {spec!r} (use exp|pexp|sing|log|table:<path>)")
+        raise DomainError(f"unknown potential {spec!r} (use exp|pexp|sing|log|table:<path>)")
     return makers[spec](opts["g"], opts["R"])
 
 
@@ -163,9 +160,9 @@ def _parse_list(text) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         _usage_error(f"bad list {text!r}; expected numbers separated by commas")
-    finite = all(map(math.isfinite, values))
-    if not values or not finite or any(b <= a for a, b in zip(values, values[1:])):
-        _usage_error(f"list {text!r} must be nonempty, finite and strictly increasing")
+    increasing = all(b > a for a, b in zip(values, values[1:]))  # False at a nan
+    if not (values and values[0] > 0 and math.isfinite(values[-1]) and increasing):
+        _usage_error(f"list {text!r} must be nonempty, finite, positive and strictly increasing")
     return values
 
 
@@ -178,8 +175,6 @@ def _bound_point(opts) -> dict:
     V, spec = _make_potential(opts), _quad_spec(opts)
     m, alpha, q, dim = opts["m"], opts["alpha"], opts["q"], opts["dim"]
     if q is not None:
-        if opts["out"] is not None:
-            _usage_error("--q prints one fixed-exponent bound and no CSV; drop --q or --out")
         value = (bounds.mass_bound_3d if dim == 3 else bounds.mass_bound_1d)(V, m, alpha, q, spec)
         return {"q": q, "fixed_bound": value, "vacuous_note": "  [vacuous]" if value < 0 else ""}
     opt = bounds.optimize_mass_bound_3d if dim == 3 else bounds.optimize_mass_bound_1d
@@ -379,6 +374,22 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     return opts
 
 
+def _check_options(opts) -> None:
+    """Build what every point builds from the options, and check ``--q``, so
+    that an out-of-range value is a usage error before any point runs."""
+    try:
+        _make_potential(opts), _solver_cfg(opts), _quad_spec(opts)
+        if not 0.0 < opts["g_root_tol"] < math.inf:
+            raise DomainError("root tolerance must be positive and finite")
+        if opts["q"] is not None:
+            if opts["out"] is not None:
+                raise DomainError("--q prints one fixed-exponent bound and no CSV; "
+                                  "drop --q or --out")
+            bounds._check_q(opts["q"], opts["dim"])
+    except DomainError as exc:
+        _usage_error(str(exc))
+
+
 def _write_csv(path, schema, config_line, header, rows, error_lines):
     lines = [f"# salpeter-bounds CSV schema: {schema}/{SCHEMA_VERSION}",
              f"# units: {_UNITS}", f"# config: {config_line}"]
@@ -416,6 +427,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
     opts = _effective_options(cmd, args)
+    _check_options(opts)
     try:
         if cmd.jobs is None:
             params, results = [{}], [(opts, cmd.point(opts), None)]

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SalpeterBoundsError",
+    "DomainError",
+    "ConvergenceError",
+    "DivergentNormError",
+    "PotentialClassError",
+    "BracketError",
+]
+
 
 class SalpeterBoundsError(Exception):
     """Base class for all errors raised by this package."""

@@ -1,13 +1,14 @@
 """Central potential models and the L^s norms of their attractive parts.
 
-The parametric models, with coupling g > 0 and range R > 0:
+The parametric models, with finite coupling g > 0 and range R > 0:
 
     exp    V(r) = -(g/R) exp(-r/R)
     pexp   V(r) = -(g/R^2) r exp(-r/R)
     sing   V(r) = -g (r R)^(-1/2) exp(-r/R)
     log    V(r) =  (g/R) ln(r/R)
 
-plus tabulated potentials interpolated from (r, V) samples.  One-dimensional
+plus tabulated potentials, the monotone (PCHIP) cubic through (r, V) samples,
+a power law below the first radius and 0 beyond the last.  One-dimensional
 usage reads the same shapes as even functions of |x| with measure dx over the
 whole line.  Units throughout are GeV-based natural units (hbar = c = 1):
 r and R in GeV^-1, V and C in GeV, g dimensionless.
@@ -39,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergentNormError, DomainError
@@ -57,8 +58,6 @@ __all__ = [
     "load_table",
     "with_coupling",
     "evaluate",
-    "evaluate_truncated",
-    "evaluate_shifted",
     "sup_negative",
     "min_value",
     "length_scale",
@@ -83,21 +82,18 @@ class PotentialModel:
     g: float = 1.0
     R: float = 1.0
     table: tuple[tuple[float, float], ...] | None = None
-    interp: str = "pchip"
 
     def __post_init__(self):
-        if not self.g > 0.0:
-            raise DomainError(f"coupling g must be positive, got {self.g!r}")
-        if not self.R > 0.0:
-            raise DomainError(f"range R must be positive, got {self.R!r}")
+        if not 0.0 < self.g < math.inf:
+            raise DomainError(f"coupling g must be positive and finite, got {self.g!r}")
+        if not 0.0 < self.R < math.inf:
+            raise DomainError(f"range R must be positive and finite, got {self.R!r}")
         if self.kind is PotentialKind.TABULATED:
             if self.table is None or len(self.table) < 2:
                 raise DomainError("tabulated potential needs at least two samples")
             radii = [r for r, _ in self.table]
             if radii[0] < 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
                 raise DomainError("table radii must be strictly increasing and >= 0")
-            if self.interp not in ("pchip", "linear"):
-                raise DomainError(f"unknown interpolation rule {self.interp!r}")
         elif self.table is not None:
             raise DomainError("only tabulated potentials carry a table")
 
@@ -118,12 +114,12 @@ def logarithmic(g: float, R: float) -> PotentialModel:
     return PotentialModel(PotentialKind.LOGARITHMIC, g, R)
 
 
-def tabulated(radii, values, g: float = 1.0, interp: str = "pchip") -> PotentialModel:
+def tabulated(radii, values, g: float = 1.0) -> PotentialModel:
     table = tuple((float(r), float(v)) for r, v in zip(radii, values, strict=True))
-    return PotentialModel(PotentialKind.TABULATED, g, 1.0, table, interp)
+    return PotentialModel(PotentialKind.TABULATED, g, 1.0, table)
 
 
-def load_table(path, g: float = 1.0, interp: str = "pchip") -> PotentialModel:
+def load_table(path, g: float = 1.0) -> PotentialModel:
     """Read a two-column (r, V) text file; '#' starts a comment.
 
     Values are interpreted in GeV-based natural units: r in GeV^-1, V in GeV.
@@ -134,7 +130,7 @@ def load_table(path, g: float = 1.0, interp: str = "pchip") -> PotentialModel:
         raise DomainError(f"cannot read table {path}: {exc}") from None
     if data.shape[1] != 2:
         raise DomainError(f"expected two columns (r, V) in {path}")
-    return tabulated(data[:, 0], data[:, 1], g=g, interp=interp)
+    return tabulated(data[:, 0], data[:, 1], g=g)
 
 
 def with_coupling(V: PotentialModel, g: float) -> PotentialModel:
@@ -144,13 +140,8 @@ def with_coupling(V: PotentialModel, g: float) -> PotentialModel:
 
 @dataclass(frozen=True)
 class TruncatedPotential:
-    """V capped at the level C and shifted back down:
-
-    truncated(r) = min(V(r), C),   shifted(r) = min(V(r), C) - C <= 0.
-
-    The negative part of the shifted potential is (C - V)^+ and is what the
-    confining-potential bound integrates.
-    """
+    """V capped at the level C and shifted back down, min(V, C) - C <= 0.  Its
+    negative part (C - V)^+ is what the confining-potential bound integrates."""
 
     base: PotentialModel
     cutoff: float
@@ -159,7 +150,7 @@ class TruncatedPotential:
 class _Table(NamedTuple):
     """The per-table data, built once per table by ``_table``."""
 
-    pp: PPoly  # the interpolant, nan outside the knots
+    pp: PchipInterpolator  # the interpolant, nan outside the knots
     knots: tuple[float, ...]
     coeffs: tuple[tuple[float, ...], ...]  # per piece, constant term first
     knot_min: float  # least interpolant value at the knots
@@ -170,11 +161,7 @@ class _Table(NamedTuple):
 @lru_cache(maxsize=256)
 def _table(model: PotentialModel) -> _Table:
     pts = np.asarray(model.table, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    if model.interp == "pchip":
-        pp = PchipInterpolator(x, y, extrapolate=False)
-    else:
-        pp = PPoly(np.vstack([np.diff(y) / np.diff(x), y[:-1]]), x, extrapolate=False)
+    pp = PchipInterpolator(pts[:, 0], pts[:, 1], extrapolate=False)
     coeffs = tuple(tuple(column[::-1]) for column in pp.c.T.tolist())
     return _Table(pp, tuple(pp.x.tolist()), coeffs, min(pp(pp.x).tolist()),
                   *_table_head_power(model))
@@ -238,16 +225,6 @@ def _profile(V: PotentialModel, r):
     return V.g * _eval_table(V, r)
 
 
-def evaluate_truncated(T: TruncatedPotential, r):
-    """min(V(r), C)."""
-    return np.minimum(evaluate(T.base, r), T.cutoff)
-
-
-def evaluate_shifted(T: TruncatedPotential, r):
-    """min(V(r), C) - C, nonpositive by construction."""
-    return evaluate_truncated(T, r) - T.cutoff
-
-
 def min_value(V: PotentialModel) -> float:
     """inf of V over r > 0 (-inf for the kinds unbounded below)."""
     if V.kind is PotentialKind.EXPONENTIAL:
@@ -259,8 +236,10 @@ def min_value(V: PotentialModel) -> float:
     tab = _table(V)
     if tab.p < 0.0 and tab.v0 < 0.0:
         return -math.inf
-    # monotone interpolation attains its extrema at the knots
-    return V.g * min(0.0, min(v for _, v in V.table))
+    # monotone interpolation attains its extrema at the knots; the interpolant
+    # there, not the raw sample, is what evaluate returns (they can differ by
+    # an ulp at the last knot)
+    return V.g * min(0.0, tab.knot_min)
 
 
 def sup_negative(V: PotentialModel) -> float:

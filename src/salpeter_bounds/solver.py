@@ -86,10 +86,10 @@ class SolverConfig:
         if self.N > _MAX_GRID // 2:
             raise DomainError(f"grid count must be at most {_MAX_GRID // 2}, "
                               f"so that it can double within {_MAX_GRID}")
-        if self.L is not None and not self.L > 0.0:
-            raise DomainError("box size must be positive")
-        if not self.eigen_tol > 0.0:
-            raise DomainError("eigen tolerance must be positive")
+        if self.L is not None and not 0.0 < self.L < math.inf:
+            raise DomainError("box size must be positive and finite")
+        if not 0.0 < self.eigen_tol < math.inf:
+            raise DomainError("eigen tolerance must be positive and finite")
 
 
 @dataclass
@@ -119,7 +119,6 @@ class CriticalCouplingResult:
     bracket_history: list = field(default_factory=list)
     grid_count: int = 0
     box_size: float = 0.0
-    tolerance: float = 1e-6
     mass_residual: float = math.nan
 
 
@@ -318,6 +317,8 @@ def critical_coupling_exact(
                       alpha=cfg.alpha if alpha is None else alpha)
     m, alpha = cfg.m, cfg.alpha
     stability = grid_stability_rel if grid_stability_rel is not None else g_tol_rel
+    if not (0.0 < g_tol_rel < math.inf and 0.0 < stability < math.inf):
+        raise DomainError("root and grid-stability tolerances must be positive and finite")
     dim = cfg.dimension
     shape = with_coupling(v, 1.0)
     solve = solve_once_3d if dim == 3 else solve_once_1d
@@ -440,6 +441,5 @@ def critical_coupling_exact(
         bracket_history=history,
         grid_count=N,
         box_size=L,
-        tolerance=g_tol_rel,
         mass_residual=mass(gc, N),
     )

@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "YoungExponents",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "bessel_k0",
@@ -108,38 +107,6 @@ _K1_CHEB = (
 )
 
 
-@dataclass(frozen=True)
-class YoungExponents:
-    """Exponent triple (p, q, r) of the sharp convolution inequality.
-
-    The exponents must satisfy 1/p + 1/q + 1/r = 2 with each >= 1
-    (infinite exponents are allowed and contribute 0 to the sum).
-    """
-
-    p: float
-    q: float
-    r: float
-
-    def __post_init__(self):
-        for name, val in (("p", self.p), ("q", self.q), ("r", self.r)):
-            if not val >= 1.0:
-                raise DomainError(f"Young exponent {name} = {val} must be >= 1")
-        total = sum(0.0 if math.isinf(e) else 1.0 / e for e in (self.p, self.q, self.r))
-        if abs(total - 2.0) > 1e-12:
-            raise DomainError(
-                f"Young exponents must satisfy 1/p + 1/q + 1/r = 2, got {total!r}"
-            )
-
-    def conjugate(self, name: str) -> float:
-        """Holder conjugate e' = e/(e-1) of one of the exponents."""
-        e = getattr(self, name)
-        if e == 1.0:
-            return math.inf
-        if math.isinf(e):
-            return 1.0
-        return e / (e - 1.0)
-
-
 # QUADPACK subdivision limit per integral, and the tail policy: the range
 # beyond a start point is integrated in chunks growing by _TAIL_GROWTH until
 # one contributes less than abs_tol/8, failing if _TAIL_CAP is reached first
@@ -156,8 +123,8 @@ class QuadratureSpec:
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be positive and finite")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -408,8 +375,8 @@ def k0_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
 
 
 def _check_mass_alpha(m: float, alpha: float) -> None:
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m!r}")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"mass must be positive and finite, got {m!r}")
     if alpha not in (1, 2, 1.0, 2.0):
         raise DomainError(f"alpha must be 1 or 2, got {alpha!r}")
 

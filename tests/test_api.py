@@ -6,7 +6,7 @@ import pytest
 
 import salpeter_bounds
 
-MODULES = ["bounds", "potentials", "solver", "specfun"]  # the ones with an __all__
+MODULES = ["bounds", "errors", "potentials", "solver", "specfun"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,3 +20,21 @@ def test_package_all_names_resolve():
     assert len(set(salpeter_bounds.__all__)) == len(salpeter_bounds.__all__)
     for attr in salpeter_bounds.__all__:
         assert hasattr(salpeter_bounds, attr), attr
+
+
+def test_package_all_is_the_module_lists_in_order():
+    modules = [importlib.import_module(f"salpeter_bounds.{name}") for name in MODULES]
+    assert salpeter_bounds.__all__ == [attr for module in modules for attr in module.__all__]
+
+
+# public names, fields and knobs that no program path used
+@pytest.mark.parametrize("owner, attr", [
+    ("specfun", "YoungExponents"),
+    ("potentials", "evaluate_truncated"),
+    ("potentials", "evaluate_shifted"),
+    ("PotentialModel", "interp"),
+    ("CriticalCouplingResult", "tolerance"),
+])
+def test_deleted_names_stay_gone(owner, attr):
+    assert not hasattr(getattr(salpeter_bounds, owner), attr)
+    assert attr not in salpeter_bounds.__all__

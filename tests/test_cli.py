@@ -457,10 +457,10 @@ def test_bad_workers_value_exits_2_from_every_source(source, tmp_path, monkeypat
 
 # nan compares false with everything, so it once passed the ordering checks
 @pytest.mark.parametrize("argv, message", [
-    (["fig2", "--g-list", "1,nan,2"], "list '1,nan,2' must be nonempty, finite and strictly "
-     "increasing"),
-    (["fig2", "--g-list", "1,inf"], "list '1,inf' must be nonempty, finite and strictly "
-     "increasing"),
+    (["fig2", "--g-list", "1,nan,2"], "list '1,nan,2' must be nonempty, finite, positive and "
+     "strictly increasing"),
+    (["fig2", "--g-list", "1,inf"], "list '1,inf' must be nonempty, finite, positive and "
+     "strictly increasing"),
     (["fig2", "--g-list", "0.5", "--m-grid", "nan:2:2"], "grid 'nan:2:2' must be finite, "
      "positive, increasing, n >= 1"),
     (["fig1", "--beta-grid", "1:inf:3"], "grid '1:inf:3' must be finite, positive, "
@@ -475,6 +475,39 @@ def test_sweep_inputs_that_give_no_valid_rows_are_usage_errors(argv, message, ca
 
 
 def test_grid_count_with_no_room_to_refine_fails_at_once(capsys):
-    code, _, err = run_cli(["solve", "--N", "16384"], capsys)
-    assert code == 1
-    assert err == "error: grid count must be at most 8192, so that it can double within 16384\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--N", "16384"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("salpeter-bounds: error: grid count must be at most "
+                                       "8192, so that it can double within 16384\n")
+
+
+# values argparse takes but the potential, SolverConfig, QuadratureSpec or the
+# q window reject: usage errors before any point runs, so no CSV is written
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--N", "8"], "grid count must be at least 16"),
+    (["solve", "--N", "16384"], "grid count must be at most 8192, so that it can double "
+     "within 16384"),
+    (["solve", "--L", "-1"], "box size must be positive and finite"),
+    (["solve", "--L", "inf"], "box size must be positive and finite"),
+    (["solve", "--eigen-tol", "0"], "eigen tolerance must be positive and finite"),
+    (["bound3d", "--g", "-1"], "coupling g must be positive and finite, got -1.0"),
+    (["bound3d", "--m", "0"], "mass must be positive and finite, got 0.0"),
+    (["bound3d", "--m", "inf"], "mass must be positive and finite, got inf"),
+    (["bound3d", "--R", "nan"], "range R must be positive and finite, got nan"),
+    (["bound3d", "--quad-abs-tol", "0"], "quadrature tolerances must be positive and finite"),
+    (["bound3d", "--quad-abs-tol", "inf"], "quadrature tolerances must be positive and finite"),
+    (["bound3d", "--q", "2"], "exponent q = 2.0 outside the admissible [1, 3/2)"),
+    (["critical", "--g-root-tol", "nan"], "root tolerance must be positive and finite"),
+    (["fig1", "--g-root-tol", "0"], "root tolerance must be positive and finite"),
+    (["fig2", "--N", "8"], "grid count must be at least 16"),
+    (["fig2", "--g-list", "-1"], "list '-1' must be nonempty, finite, positive and strictly "
+     "increasing"),
+])
+def test_out_of_range_option_values_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv if "--q" in argv else argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"salpeter-bounds: error: {message}\n")
+    assert not out.exists()

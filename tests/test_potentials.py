@@ -236,27 +236,16 @@ def test_yukawa_table_divergence():
 
 
 def test_table_interp_rules():
+    # one rule, the monotone (PCHIP) cubic through the samples; no knob
     rs = [0.0, 1.0, 2.0, 3.0]
     vs = [-1.0, -0.5, -0.25, 0.0]
-    lin = pot.tabulated(rs, vs, interp="linear")
-    assert pot.evaluate(lin, 0.5) == pytest.approx(-0.75)
-    pch = pot.tabulated(rs, vs, interp="pchip")
-    assert pot.evaluate(pch, 1.0) == pytest.approx(-0.5)
-    with pytest.raises(DomainError):
-        pot.tabulated(rs, vs, interp="spline")
+    assert pot.evaluate(pot.tabulated(rs, vs), 1.0) == pytest.approx(-0.5)
+    with pytest.raises(TypeError):
+        pot.tabulated(rs, vs, interp="linear")
 
 
 # ---------------------------------------------------------------------------
 # truncated potentials
-
-
-def test_truncated_evaluation():
-    E = pot.exponential(1.0, 1.0)
-    T = TruncatedPotential(E, -0.5)
-    assert pot.evaluate_truncated(T, 0.0) == -1.0  # V < C kept
-    assert pot.evaluate_truncated(T, 5.0) == -0.5  # capped
-    assert pot.evaluate_shifted(T, 5.0) == 0.0
-    assert np.all(pot.evaluate_shifted(T, np.linspace(0.0, 10.0, 50)) <= 0.0)
 
 
 def test_truncated_log_closed_form_anchor():
@@ -401,11 +390,11 @@ def test_length_scale():
 # constants; the references below are the generic compositions they replace.
 
 
-def _benchmark_like_table(g=1.0, interp="pchip"):
+def _benchmark_like_table(g=1.0):
     # a deep well with a shoulder, tabulated from r = 0 (flat head)
     radii = [0.0] + [0.02 * (12.0 / 0.02) ** (i / 58) for i in range(59)]
     values = [-9.0 * math.exp(-r / 0.8) - 1.8 * r * math.exp(-r / 1.5) for r in radii]
-    return pot.tabulated(radii, values, g=g, interp=interp)
+    return pot.tabulated(radii, values, g=g)
 
 
 def _same_float(a, b):
@@ -426,12 +415,11 @@ def _reference_singular_head_integrand(u, base, k, s, dim):
     return math.exp(min(ln, 709.0))
 
 
-@pytest.mark.parametrize("interp", ["pchip", "linear"])
 @pytest.mark.parametrize("dim", [3, 1])
-def test_fused_table_integrand_matches_generic_composition(interp, dim):
+def test_fused_table_integrand_matches_generic_composition(dim):
     # the reference evaluates the interpolant with PPoly itself (nan outside
     # the knots), at random nodes, every knot and both neighbours of each
-    V = _benchmark_like_table(g=1.3, interp=interp)
+    V = _benchmark_like_table(g=1.3)
     pp = pot._table(V).pp
     knots = [r for r, _ in V.table]
     rng = np.random.default_rng(11 + dim)
@@ -511,8 +499,7 @@ def test_skipping_vanishing_table_pieces_is_bit_for_bit():
         a, b, c, d = rng.uniform(0.5, 8.0), rng.uniform(0.3, 2.0), rng.uniform(-3.0, 3.0), \
             rng.uniform(0.5, 4.0)
         values = -a * np.exp(-radii / b) + c * np.exp(-((radii - d) ** 2))
-        V = pot.tabulated(radii, values, g=float(rng.uniform(0.5, 2.0)),
-                          interp=str(rng.choice(["pchip", "linear"])))
+        V = pot.tabulated(radii, values, g=float(rng.uniform(0.5, 2.0)))
         vmin = V.g * float(np.min(values))
         for _ in range(4):
             C = 0.0 if rng.random() < 0.15 else float(rng.uniform(1.1 * min(vmin, -0.1), 0.0))
@@ -521,7 +508,7 @@ def test_skipping_vanishing_table_pieces_is_bit_for_bit():
             dim = int(rng.choice([3, 1]))
             got = _outcome(pot._table_norm, V, s, dim, spec, C)
             want = _outcome(_reference_table_norm, V, s, dim, spec, C)
-            assert got == want, (radii.tolist(), values.tolist(), V.g, V.interp, C, s, dim)
+            assert got == want, (radii.tolist(), values.tolist(), V.g, C, s, dim)
             finite += not isinstance(got, str)
 
 
@@ -553,16 +540,17 @@ def test_norm_golden_values(kind, C, s, dim, want):
 
 def _head_tables():
     # r0 > 0 both: a sampled r^(-1/2) well (head power p < 0, unbounded
-    # below) and a linear table whose head p > 0 rises to v0 at r0
+    # below) and a table whose head p > 0 rises to v0 at r0
     r = np.geomspace(0.3, 30.0, 40)
     rr = np.geomspace(0.2, 12.0, 25)
     return {"sing": pot.tabulated(r, pot.evaluate(pot.singular(5.0, 1.0), r)),
             "rising": pot.tabulated(rr, -2.0 * (1.0 - np.exp(-rr / 0.4)) * np.exp(-rr / 3.0),
-                                    g=1.3, interp="linear")}
+                                    g=1.3)}
 
 
-# float.hex of evaluate and min_value recorded before each table's data
-# became one record; below r0 the head, inside the interpolant, beyond it 0
+# float.hex of evaluate and min_value, recorded before each table's data
+# became one record ("rising": before min_value read the interpolant at the
+# knots); below r0 the head, inside the interpolant, beyond it 0
 @pytest.mark.parametrize("name, vmin, want", [
     ("sing", "-inf", ["-0x1.91529f0905e5dp+17", "-0x1.b59ff82f5b942p+6",
                       "-0x1.7da16ae96ad75p+3", "-0x1.b0ee8bafacf71p+2",
@@ -572,8 +560,8 @@ def _head_tables():
                       "-0x1.80b60954e6b88p-44", "0x0.0p+0"]),
     ("rising", "-0x1.b87bdc055bb3dp+0", [
         "-0x1.f63f799d8c616p-13", "-0x1.000ac05acad3bp-3", "-0x1.93025acf0f5fbp-1",
-        "-0x1.3d06c8ead1971p+0", "-0x1.3d15e0d7ba070p+0", "-0x1.b7611d14bdecap+0",
-        "-0x1.bce2adc5b7ddap-1", "-0x1.87ead19cdeb92p-5", "-0x1.861bc3c2b3322p-5",
+        "-0x1.3db247dfaf910p+0", "-0x1.3dc1d69e20cc2p+0", "-0x1.b81f6687e3e6fp+0",
+        "-0x1.bb099769d8f71p-1", "-0x1.8729a0f8c02ffp-5", "-0x1.861bc3c2b3323p-5",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]),
 ])
 def test_table_golden_values(name, vmin, want):
@@ -582,6 +570,16 @@ def test_table_golden_values(name, vmin, want):
     rs = [1e-6, 0.01, 0.15, 0.2999, 0.3, 0.77, 3.3, 11.99, 12.0, 29.9, 30.0, 31.0]
     assert [v.hex() for v in pot.evaluate(V, np.array(rs)).tolist()] == want
     assert [pot.evaluate(V, r).hex() for r in rs] == want
+
+
+def test_min_value_is_at_most_every_value_evaluate_returns_at_the_knots():
+    # at the last knot the interpolant sums the previous piece's polynomial,
+    # which can land an ulp below the raw sample
+    rng = np.random.default_rng(20)
+    for _ in range(4000):
+        radii = np.r_[0.0, np.sort(rng.uniform(0.0, 10.0, 7))]
+        V = pot.tabulated(radii, rng.uniform(-5.0, 1.0, 8))
+        assert pot.min_value(V) <= min(pot.evaluate(V, radii).min(), 0.0), V.table
 
 
 # --- the power-law head below the first table radius ----------------------

@@ -235,6 +235,15 @@ def test_critical_coupling_rejects_zero_alpha():
         sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 0.0, sv.SolverConfig(N=64))
 
 
+@pytest.mark.parametrize("tols", [(math.nan, None), (math.inf, None), (0.0, None),
+                                  (1e-6, -1e-3), (1e-6, math.nan)])
+def test_critical_coupling_rejects_bad_tolerances(tols):
+    # a nan tolerance once let the first grid level's root pass as converged
+    with pytest.raises(DomainError, match="tolerances must be positive and finite"):
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2.0, sv.SolverConfig(N=64),
+                                   g_tol_rel=tols[0], grid_stability_rel=tols[1])
+
+
 def test_critical_coupling_rejects_root_jump(monkeypatch):
     # with a unit Newton slope the root of M(g) = root - g is found exactly
     # at N = 128; at N = 256 the Newton step from it lands at 1e-9, below

@@ -132,16 +132,6 @@ def test_young_constant_domain():
         sf.young_constant(0.99)
 
 
-def test_young_exponents_triple():
-    y = sf.YoungExponents(2.0, 1.0, 2.0)
-    assert y.conjugate("p") == 2.0
-    assert y.conjugate("q") == math.inf
-    with pytest.raises(DomainError):
-        sf.YoungExponents(2.0, 2.0, 2.0)  # sum 3/2 != 2
-    with pytest.raises(DomainError):
-        sf.YoungExponents(0.5, 1.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # combined constant
 
