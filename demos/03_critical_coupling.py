@@ -7,7 +7,7 @@ that critical coupling which depends only on beta = m R.  The oracle locates
 the true crossing with a bracketed Newton-chord root on converged
 eigenvalues, refining the grid until the root is stable.
 
-Runtime: under a second (0.7 s on a 2-core AMD EPYC machine).
+Runtime: about a second (1.2 s on a 2-core Intel Xeon machine).
 """
 
 import time

@@ -167,12 +167,15 @@ def _parse_list(text) -> list[float]:
 
 
 # Point functions: one row each, as a dict holding at least the CSV columns.
-# They stay module-level so the sweep pool can pickle them, and they look up
-# bounds.* and solver.* at call time, where tracing may have replaced them.
+# A single-shot command's point takes the options and the potential that
+# _check_options built from them, so a table file is read once; a sweep's
+# point takes one job and builds its own.  They stay module-level so the sweep
+# pool can pickle them, and they look up bounds.* and solver.* at call time,
+# where tracing may have replaced them.
 
 
-def _bound_point(opts) -> dict:
-    V, spec = _make_potential(opts), _quad_spec(opts)
+def _bound_point(opts, V) -> dict:
+    spec = _quad_spec(opts)
     m, alpha, q, dim = opts["m"], opts["alpha"], opts["q"], opts["dim"]
     if q is not None:
         value = (bounds.mass_bound_3d if dim == 3 else bounds.mass_bound_1d)(V, m, alpha, q, spec)
@@ -183,8 +186,7 @@ def _bound_point(opts) -> dict:
                 vacuous=int(rep.vacuous), vacuous_note="  [vacuous]" if rep.vacuous else "")
 
 
-def _critical_point(opts) -> dict:
-    V = _make_potential(opts)
+def _critical_point(opts, V) -> dict:
     m, alpha, method = opts["m"], opts["alpha"], opts["method"]
     row = dict(beta=m * V.R, potential=opts["potential"], gc_lower_bound=None, gc_exact=None)
     if method in ("bound", "both"):
@@ -201,21 +203,21 @@ def _critical_point(opts) -> dict:
     return row
 
 
-def _confining_point(opts) -> dict:
-    V = _make_potential(opts)
+def _confining_point(opts, V) -> dict:
     res = bounds.confining_bound(V, opts["m"], opts["alpha"], _quad_spec(opts), dim=opts["dim"])
     if res.vacuous:
         raise PotentialClassError("bound vacuous: no admissible cutoff at any exponent")
     return dict(vars(res), at_cap=int(res.at_cap), cap_note="  [at cap]" if res.at_cap else "")
 
 
-def _solve_point(opts) -> dict:
+def _solve_point(opts, V) -> dict:
     run = solver.ground_state_3d_swave if opts["dim"] == 3 else solver.ground_state_1d
-    return vars(run(_make_potential(opts), _solver_cfg(opts)))
+    return vars(run(V, _solver_cfg(opts)))
 
 
 def _fig1_point(job) -> dict:
-    return _critical_point(dict(job, m=job["beta"]))  # R = 1, m = beta
+    opts = dict(job, m=job["beta"])  # R = 1, m = beta
+    return _critical_point(opts, _make_potential(opts))
 
 
 def _fig2_point(job) -> dict:
@@ -246,12 +248,13 @@ def _fig2_jobs(opts) -> list[dict]:
 class Command:
     """A subcommand; its CSV schema bears its name.  ``options`` are in echo
     order; ``defaults`` also fix options it does not take; ``jobs`` makes a
-    sweep of per-row parameters merged over the options; ``lines`` template a
+    sweep of per-row parameters merged over the options, and then ``point``
+    takes one job, else the options and their potential; ``lines`` template a
     single-shot row's stdout, a line printing if the row has all its fields."""
 
     help: str
     options: tuple[str, ...]
-    point: Callable[[dict], dict]
+    point: Callable[..., dict]
     header: tuple[str, ...]
     lines: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
@@ -374,11 +377,13 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     return opts
 
 
-def _check_options(opts) -> None:
-    """Build what every point builds from the options, and check ``--q``, so
-    that an out-of-range value is a usage error before any point runs."""
+def _check_options(opts) -> potentials.PotentialModel:
+    """Build the potential, solver config and quadrature spec that the points
+    use, and check ``--q``, so that an out-of-range value is a usage error
+    before any point runs; returns the potential."""
     try:
-        _make_potential(opts), _solver_cfg(opts), _quad_spec(opts)
+        V = _make_potential(opts)
+        _solver_cfg(opts), _quad_spec(opts)
         if not 0.0 < opts["g_root_tol"] < math.inf:
             raise DomainError("root tolerance must be positive and finite")
         if opts["q"] is not None:
@@ -388,6 +393,7 @@ def _check_options(opts) -> None:
             bounds._check_q(opts["q"], opts["dim"])
     except DomainError as exc:
         _usage_error(str(exc))
+    return V
 
 
 def _write_csv(path, schema, config_line, header, rows, error_lines):
@@ -427,10 +433,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
     opts = _effective_options(cmd, args)
-    _check_options(opts)
+    V = _check_options(opts)
     try:
         if cmd.jobs is None:
-            params, results = [{}], [(opts, cmd.point(opts), None)]
+            params, results = [{}], [(opts, cmd.point(opts, V), None)]
         else:
             params = cmd.jobs(opts)
             results = _run_sweep([{**opts, **p} for p in params], cmd.point, opts["workers"])

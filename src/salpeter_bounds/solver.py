@@ -14,10 +14,14 @@ kinetic term applied spectrally:
 Ground states are converged by doubling the grid count until the N vs 2N
 eigenvalue drift falls below the configured tolerance, doubling the box as
 well when a bound state's tail touches the boundary.  Every solve, in both
-dimensions and at every N, finds the lowest eigenpair by restarted-Lanczos
-iteration (``eigsh``) on the matrix-free spectral operator.  Its start vector
-is flat, or for the coupling root an earlier eigenvector, so results are
-deterministic.
+dimensions and at every N, finds the lowest eigenpair of the matrix-free
+spectral operator, deterministically.  A cold solve (every refinement solve,
+and the first solve of a coupling root) runs restarted Lanczos (``eigsh``)
+from a flat vector.  A warm solve (every later solve of the root, started
+from an earlier eigenvector) runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
+517, 2001) preconditioned by the inverse of the shifted kinetic diagonal,
+applied through the same transform pair as the operator; it raises
+``ConvergenceError`` if its residual misses the tolerance.
 
 The critical coupling where the ground-state mass crosses zero is located by
 a bracketed Newton-chord root at each grid level: M(g) is concave in g and
@@ -59,6 +63,11 @@ _TAIL_THRESHOLD = 1e-8
 _MAX_BOX_DOUBLINGS = 4
 # the largest grid count of the refinement loop and the coupling root
 _MAX_GRID = 16384
+# a warm-started solve must bring the residual |H u - M u| of the unit vector
+# u below _LOBPCG_TOL times the lowest kinetic energy within _LOBPCG_MAXITER
+# LOBPCG iterations, or it raises
+_LOBPCG_TOL = 1e-9
+_LOBPCG_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -138,20 +147,52 @@ def apply_kinetic_3d(u: np.ndarray, L: float, m: float, alpha: float) -> np.ndar
     return dst(eps * dst(u, type=1, norm="ortho"), type=1, norm="ortho")
 
 
-def _lowest_state(matvec, grid: np.ndarray, L: float, N: int, v0=None):
-    """Lowest eigenpair of the symmetric operator ``matvec`` on ``grid``;
-    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak.  The
-    Lanczos iteration starts from ``v0``, or from a flat vector if None."""
+def _lowest_state(apply, eps, Vx, grid, L: float, N: int, v0=None):
+    """Lowest eigenpair of H = apply(., eps) + diag(Vx) on ``grid``, where
+    ``apply(x, d)`` multiplies x by the diagonal d in the kinetic basis;
+    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak.
+
+    With no start vector, restarted Lanczos (``eigsh``) runs from a flat
+    vector.  A start vector ``v0`` (an eigenvector of a nearby problem) runs
+    LOBPCG from it instead, preconditioned by (eps - sigma)^-1 with sigma
+    just below the Rayleigh quotient of ``v0``; the eigenvalue is the
+    Rayleigh quotient of the result, whose residual must reach
+    _LOBPCG_TOL * (lowest kinetic energy) within _LOBPCG_MAXITER iterations.
+    """
     n = len(grid)
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+
+    def mv(x):
+        return apply(x, eps) + Vx * x
+
     if v0 is None:
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=mv, dtype=float)
         v0 = np.full(n, 1.0 / math.sqrt(n))
-    w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, maxiter=50000)
-    u = v[:, 0]
+        w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, maxiter=50000)
+        M, u = float(w[0]), v[:, 0]
+    else:
+        scale = float(eps.min())  # alpha m, up to the box's lowest momentum
+        tol = _LOBPCG_TOL * scale
+        x = v0 / math.sqrt(np.dot(v0, v0))
+        sigma = float(np.dot(x, mv(x))) - 0.1 * scale
+        inv = 1.0 / np.maximum(eps - sigma, 0.05 * scale)
+        # lobpcg passes (n, 1) blocks; the transforms act on 1-D vectors
+        _, X = scipy.sparse.linalg.lobpcg(
+            lambda X: mv(X[:, 0])[:, None], x[:, None],
+            M=lambda X: apply(X[:, 0], inv)[:, None],
+            largest=False, tol=tol, maxiter=_LOBPCG_MAXITER)
+        u = X[:, 0] / math.sqrt(np.dot(X[:, 0], X[:, 0]))
+        Hu = mv(u)
+        M = float(np.dot(u, Hu))
+        residual = float(np.linalg.norm(Hu - M * u))
+        if not residual <= tol:
+            raise ConvergenceError(
+                f"warm-started eigensolve not converged at N = {N}, L = {L:g}: "
+                f"residual {residual:.3g} > {tol:.3g} after at most "
+                f"{_LOBPCG_MAXITER} LOBPCG iterations")
     u = u / math.sqrt(np.sum(u * u) * (L / N))
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
-    return float(w[0]), grid, u
+    return M, grid, u
 
 
 def _sample_points(L: float, N: int, dim: int) -> np.ndarray:
@@ -167,31 +208,30 @@ def solve_once_3d(
     V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
 ):
     """Single-resolution s-wave ground state; returns (M, r, u_normalized).
-    ``v0`` is the Lanczos start vector (default: flat)."""
+    ``v0`` is a start vector near the ground state, such as a nearby
+    coupling's eigenvector; None (the default) starts from a flat vector."""
     r = _sample_points(L, N, 3)
     eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
-    Vr = evaluate(V, r)
 
-    def mv(x):
-        return dst(eps * dst(x, type=1, norm="ortho"), type=1, norm="ortho") + Vr * x
+    def apply(x, d):
+        return dst(d * dst(x, type=1, norm="ortho"), type=1, norm="ortho")
 
-    return _lowest_state(mv, r, L, N, v0)
+    return _lowest_state(apply, eps, evaluate(V, r), r, L, N, v0)
 
 
 def solve_once_1d(
     V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
 ):
     """Single-resolution 1D ground state; returns (M, x, psi_normalized).
-    ``v0`` is the Lanczos start vector (default: flat)."""
+    ``v0`` is a start vector as for ``solve_once_3d``."""
     x = _sample_points(L, N, 1)
     p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
     eps = kinetic_diagonal(p, m, alpha)
-    Vx = evaluate(V, np.abs(x))
 
-    def mv(y):
-        return np.fft.ifft(eps * np.fft.fft(y)).real + Vx * y
+    def apply(y, d):
+        return np.fft.ifft(d * np.fft.fft(y)).real
 
-    return _lowest_state(mv, x, L, N, v0)
+    return _lowest_state(apply, eps, evaluate(V, np.abs(x)), x, L, N, v0)
 
 
 def _default_box(V: PotentialModel, m: float) -> float:
@@ -301,8 +341,9 @@ def critical_coupling_exact(
     M(g_lo) > 0 > M(g_hi) holds by construction at every step.  Each grid
     level narrows its bracket to 1e-3 * ``g_tol_rel``; the first level is
     bracketed by doubling from g = 1, each later one by a Newton step from
-    the previous root.  Every eigensolve starts from the stored eigenvector
-    of the nearest coupling at the same N, or from the coarser level's one.
+    the previous root.  Every eigensolve but the first is warm: it starts
+    from the stored eigenvector of the nearest coupling at the same N, or
+    from the coarser level's one, and so runs LOBPCG.
 
     ``m``/``alpha`` override the config values when given; ``v`` is used as
     the unit-coupling shape.  ``grid_stability_rel`` (default: equal to

@@ -140,6 +140,24 @@ def test_unreadable_table_is_a_one_line_error(tmp_path, capsys, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["bound3d", "confining", "solve"])
+def test_single_shot_command_reads_its_table_once(tmp_path, monkeypatch, command):
+    rr = np.linspace(0.0, 20.0, 41)
+    path = tmp_path / "well.dat"
+    path.write_text("\n".join(f"{r:.8e} {-2.0 * math.exp(-r):.8e}" for r in rr) + "\n")
+    reads = []
+    loadtxt = np.loadtxt
+
+    def counted(fname, *args, **kwargs):
+        reads.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    grid = ["--N", "64", "--eigen-tol", "1e-4"] if command == "solve" else []
+    assert cli.main([command, "--potential", f"table:{path}"] + grid) == 0
+    assert reads == [str(path)]
+
+
 def test_bound1d(capsys):
     code, out, _ = run_cli(
         ["bound1d", "--potential", "exp", "--g", "1", "--R", "1", "--m", "1",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from salpeter_bounds import potentials as pot
 from salpeter_bounds import solver as sv
@@ -288,11 +289,14 @@ def test_hellmann_feynman_slope_matches_finite_difference(dim):
     assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["exp", "sing"])
+@pytest.mark.parametrize("N", [512, 2048])
 @pytest.mark.parametrize("dim", [3, 1])
-def test_warm_start_matches_cold_start(dim):
-    shape = pot.exponential(1.0, 1.0)
+def test_warm_start_matches_cold_start(dim, N, kind):
+    # a warm start runs LOBPCG, a cold one eigsh: the two must agree
+    shape = {"exp": pot.exponential, "sing": pot.singular}[kind](1.0, 1.0)
     solve = sv.solve_once_3d if dim == 3 else sv.solve_once_1d
-    L, N, g = 20.0, 512, 6.0
+    L, g = 20.0, 6.0
     V = pot.with_coupling(shape, g)
     cold = solve(V, 1.0, 2.0, L, N)[0]
     # start vectors as the coupling root makes them: a nearby coupling's
@@ -302,6 +306,43 @@ def test_warm_start_matches_cold_start(dim):
     for v0 in (near, sv._refine(grid, coarse, L, N, dim)):
         warm = solve(V, 1.0, 2.0, L, N, v0=v0)[0]
         assert warm == pytest.approx(cold, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:Exited")
+def test_warm_start_that_misses_its_tolerance_raises(monkeypatch):
+    # no fallback to eigsh and no last iterate: the unconverged solve raises
+    V = pot.exponential(6.0, 1.0)
+    _, grid, coarse = sv.solve_once_3d(V, 1.0, 2.0, 20.0, 256)
+    v0 = sv._refine(grid, coarse, 20.0, 512, 3)
+    monkeypatch.setattr(sv, "_LOBPCG_MAXITER", 1)
+    with pytest.raises(ConvergenceError, match=r"N = 512, L = 20: residual"):
+        sv.solve_once_3d(V, 1.0, 2.0, 20.0, 512, v0=v0)
+
+
+def test_cold_solves_run_eigsh_and_warm_solves_lobpcg(monkeypatch):
+    # the refinement loop's solves are cold: they never reach LOBPCG
+    def no_lobpcg(*args, **kwargs):
+        raise AssertionError("LOBPCG on a cold solve")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", no_lobpcg)
+    E = pot.exponential(6.0, 1.0)
+    assert sv.ground_state_3d_swave(E, sv.SolverConfig(N=64)).converged
+    assert sv.ground_state_1d(E, sv.SolverConfig(dimension=1, N=64, eigen_tol=1e-4)).converged
+    monkeypatch.undo()
+
+    # a coupling root runs eigsh once, for its first solve
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
+    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+    assert res.converged and res.grid_count > 128
+    assert calls == [(127, 127)]
 
 
 def test_critical_coupling_solve_count(monkeypatch):
