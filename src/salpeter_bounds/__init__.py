@@ -21,11 +21,12 @@ imported.
 
 import os
 
-# The package's BLAS work is ARPACK's level-1/2 operations on at most
-# 20 vectors of at most ``solver._MAX_GRID`` (16384) entries.  A second
-# OpenBLAS thread does no useful work there; it only spins between calls and
-# nearly doubles an eigensolve's CPU time.  This must run before the first
-# submodule loads numpy or scipy.
+# The package's BLAS work is the eigensolvers' small dense operations:
+# ARPACK's (cold solves) on at most 20 vectors, and LOBPCG's (warm solves) on
+# blocks of at most 3, each of at most ``solver._MAX_GRID`` (16384) entries.
+# A second OpenBLAS thread does no useful work there; it only spins between
+# calls and nearly doubles an eigensolve's CPU time.  This must run before
+# the first submodule loads numpy or scipy.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .potentials import (
     PotentialModel,
-    TruncatedPotential,
     _tail_limit,
     evaluate,
     length_scale,
@@ -124,22 +123,17 @@ def _check_q(q: float, dim: int) -> None:
 
 
 def _norm_term(
-    V: PotentialModel | TruncatedPotential,
+    V: PotentialModel,
+    C: float,
     m: float,
     q: float,
     dim: int,
     spec: QuadratureSpec,
 ) -> float:
-    """The subtracted term of the mass bound at exponent q.
-
-    For a TruncatedPotential the norm taken is that of the shifted potential's
-    negative part (C - V)^+.
+    """The subtracted term of the mass bound at exponent q, for V capped at
+    the level C: the norm taken is that of (C - V)^+, which is V^- at C = 0.
     """
-    s = _conjugate(q)
-    if isinstance(V, TruncatedPotential):
-        norm = truncated_negative_norm(V, s, dim, spec)
-    else:
-        norm = negative_part_norm(V, s, dim, spec)
+    norm = truncated_negative_norm(V, C, _conjugate(q), dim, spec)
     if math.isinf(norm):
         raise DivergentNormError(
             f"negative-part sup norm is infinite; the q = {q:g} bound does not apply"
@@ -172,7 +166,7 @@ def mass_bound_3d(
     """
     _check_mass_alpha(m, alpha)
     _check_q(q, 3)
-    return alpha * m - _norm_term(V, m, q, 3, spec or DEFAULT_QUADRATURE)
+    return alpha * m - _norm_term(V, 0.0, m, q, 3, spec or DEFAULT_QUADRATURE)
 
 
 def mass_bound_1d(
@@ -185,7 +179,7 @@ def mass_bound_1d(
     """Lower bound on the ground-state mass at fixed exponent q (1D)."""
     _check_mass_alpha(m, alpha)
     _check_q(q, 1)
-    return alpha * m - _norm_term(V, m, q, 1, spec or DEFAULT_QUADRATURE)
+    return alpha * m - _norm_term(V, 0.0, m, q, 1, spec or DEFAULT_QUADRATURE)
 
 
 def _minimize_term(term, dim: int) -> tuple[float, float]:
@@ -242,7 +236,7 @@ def _optimize(V, m, alpha, dim, spec) -> BoundReport:
     spec = spec or DEFAULT_QUADRATURE
 
     def term(q):
-        return _norm_term(V, m, q, dim, spec)
+        return _norm_term(V, 0.0, m, q, dim, spec)
 
     q_opt, t_opt = _minimize_term(term, dim)
     mass_bound = alpha * m - t_opt
@@ -315,7 +309,7 @@ def critical_coupling_bound_3d(
     shape = with_coupling(V, 1.0)
 
     def term(q):
-        return _norm_term(shape, m, q, 3, spec)
+        return _norm_term(shape, 0.0, m, q, 3, spec)
 
     _, t_opt = _minimize_term(term, 3)
     if t_opt == 0.0:
@@ -344,7 +338,7 @@ def cutoff_for_exponent(
 
     def lhs(C: float) -> float:
         if C not in values:
-            values[C] = _norm_term(TruncatedPotential(V, C), m, q, dim, spec) / (alpha * m)
+            values[C] = _norm_term(V, C, m, q, dim, spec) / (alpha * m)
         return values[C]
 
     # above lim V at large r, (C - V)^+ does not decay: a hard cap on C,

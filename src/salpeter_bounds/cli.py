@@ -4,17 +4,18 @@ Each command takes ``--config`` and only the options it reads; P stands for
 ``--potential --g --R --m --alpha`` and Q for ``--quad-abs-tol --quad-rel-tol``:
 
   bound3d, bound1d  P Q --q --out
-  critical          P --method --L --N --eigen-tol --g-root-tol Q --out
+  critical          P --method --L --N --g-root-tol Q --out
   confining         P --dim Q --out
   solve             P --dim --L --N --eigen-tol --out
-  fig1              --alpha --beta-grid --potentials --N --eigen-tol
-                    --g-root-tol Q --workers --out
+  fig1              --alpha --beta-grid --potentials --N --g-root-tol Q
+                    --workers --out
   fig2              --R --alpha --g-list --m-grid --N --eigen-tol Q --workers --out
 
 ``fig1`` compares the analytic critical-coupling bound of exp/pexp/sing with
 the oracle, ``fig2`` the cutoff mass bound of the logarithmic potential.
 ``--g-root-tol`` is the relative tolerance of the oracle's Newton-chord
-critical-coupling root; config files may still call it ``g_bisect_tol``.
+critical-coupling root and of its stability under grid doubling;
+``--eigen-tol``, the ground state's N -> 2N drift, is read by solve and fig2.
 ``--q`` prints one fixed-exponent bound and no CSV, so it excludes ``--out``.
 Flags override a ``key = value`` config file, which may carry keys a given
 command does not use (checked, then ignored).  A malformed or out-of-range
@@ -107,8 +108,6 @@ OPTIONS = {opt.key: opt for opt in (
            help="processes, an integer >= 1 ($SALPETER_BOUNDS_WORKERS, else all cores)"),
     Option("out", None, help="CSV output path"),
 )}
-# former config-file names of options
-_ALIASES = {"g_bisect_tol": "g_root_tol"}
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -197,7 +196,7 @@ def _critical_point(opts, V) -> dict:
         tol = opts["g_root_tol"]
         stability = max(tol, 1e-3) if opts["potential"] == "sing" else None
         row["gc_exact"] = solver.critical_coupling_exact(
-            V, m, alpha, _solver_cfg(opts), g_tol_rel=tol, grid_stability_rel=stability).coupling
+            V, cfg=_solver_cfg(opts), g_tol_rel=tol, grid_stability_rel=stability).coupling
     if method == "both":
         row["ratio"] = row["gc_lower_bound"] / row["gc_exact"]
     return row
@@ -281,7 +280,7 @@ COMMANDS = {
        for d in (3, 1)},
     "critical": Command(
         "critical coupling: analytic lower limit / oracle",
-        _POTENTIAL + ("method", "L", "N", "eigen_tol", "g_root_tol") + _QUAD + ("out",),
+        _POTENTIAL + ("method", "L", "N", "g_root_tol") + _QUAD + ("out",),
         _critical_point, ("beta", "gc_lower_bound", "gc_exact"), (
             "beta = m*R:       {beta}",
             "g_c lower bound:  {gc_lower_bound}",
@@ -306,8 +305,7 @@ COMMANDS = {
             "boundary amplitude:  {boundary_amplitude}")),
     "fig1": Command(
         "critical-coupling sweep: exact vs lower bound",
-        ("alpha", "beta_grid", "potentials", "N", "eigen_tol", "g_root_tol") + _QUAD
-        + ("workers", "out"),
+        ("alpha", "beta_grid", "potentials", "N", "g_root_tol") + _QUAD + ("workers", "out"),
         _fig1_point, ("beta", "potential", "gc_exact", "gc_lower_bound", "ratio"),
         defaults={"g": 1.0, "R": 1.0, "method": "both", "out": "fig1.csv"}, jobs=_fig1_jobs),
     "fig2": Command(
@@ -350,7 +348,6 @@ def _load_config_file(path: str) -> dict:
             _usage_error(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        key = _ALIASES.get(key, key)
         if key not in OPTIONS:
             _usage_error(f"{path}:{lineno}: unknown key {key!r}")
         try:

@@ -49,7 +49,6 @@ from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, _log_tail_end, _quad, _
 __all__ = [
     "PotentialKind",
     "PotentialModel",
-    "TruncatedPotential",
     "exponential",
     "power_exponential",
     "singular",
@@ -136,15 +135,6 @@ def load_table(path, g: float = 1.0) -> PotentialModel:
 def with_coupling(V: PotentialModel, g: float) -> PotentialModel:
     """The same shape with coupling g."""
     return replace(V, g=g)
-
-
-@dataclass(frozen=True)
-class TruncatedPotential:
-    """V capped at the level C and shifted back down, min(V, C) - C <= 0.  Its
-    negative part (C - V)^+ is what the confining-potential bound integrates."""
-
-    base: PotentialModel
-    cutoff: float
 
 
 class _Table(NamedTuple):
@@ -582,13 +572,14 @@ def negative_part_norm(
     V^- = (0 - V)^+, so this is the truncated norm at C = 0: Gamma closed
     forms for the parametric kinds, piecewise quadrature for tables.
     """
-    return truncated_negative_norm(TruncatedPotential(V, 0.0), s, dim, spec)
+    return truncated_negative_norm(V, 0.0, s, dim, spec)
 
 
 def truncated_negative_norm(
-    T: TruncatedPotential, s: float, dim: int = 3, spec: QuadratureSpec | None = None
+    V: PotentialModel, C: float, s: float, dim: int = 3, spec: QuadratureSpec | None = None
 ) -> float:
-    """||(min(V, C) - C)^-||_s = ||(C - V)^+||_s.
+    """||(min(V, C) - C)^-||_s = ||(C - V)^+||_s: the negative part of V capped
+    at the level C and shifted back down, which the confining bound integrates.
 
     Strictly increasing and continuous in C wherever finite.  One route per
     kind: the logarithmic kind uses a closed form (support r < R e^(CR/g))
@@ -596,7 +587,6 @@ def truncated_negative_norm(
     quadrature over the support of (C - V)^+ below it; tables integrate
     piecewise.  ``s = math.inf`` gives C - min(V).
     """
-    V, C = T.base, T.cutoff
     if s == math.inf:
         return max(0.0, C - min_value(V))
     _check_norm_args(V, s, dim)

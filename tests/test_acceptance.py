@@ -183,21 +183,27 @@ def test_criterion_6c_nonrelativistic_binding_onset():
     # extrapolation in 1/L remove the leading error.
     m, R, alpha = 50.0, 1.0, 2.0
     gc_theory = J01**2 * alpha / (8.0 * m * R)
+    shape = pot.exponential(1.0, R)
 
     def onset(L, N):
         def binding(g):
-            M = sv.solve_once_3d(pot.exponential(g, R), m, alpha, L, N)[0]
-            return M - alpha * m
+            M, grid, u = sv.solve_once_3d(pot.exponential(g, R), m, alpha, L, N)
+            return M - alpha * m, sv._coupling_slope(shape, grid, u, L, N)
 
         lo, hi = gc_theory * 0.7, gc_theory * 1.6
-        assert binding(lo) > 0.0 > binding(hi)
-        for _ in range(16):
-            mid = 0.5 * (lo + hi)
-            if binding(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        (b_lo, _), (b_hi, slope) = binding(lo), binding(hi)
+        assert b_lo > 0.0 > b_hi
+        # the binding energy is concave in g (an infimum of functions affine
+        # in g), so Newton steps on its Hellmann-Feynman slope from hi stay on
+        # the binding < 0 side and fall monotonically onto the onset
+        g = hi
+        for _ in range(20):
+            step = b_hi / slope
+            g -= step
+            if step <= 1e-6 * g:
+                return g
+            b_hi, slope = binding(g)
+        pytest.fail(f"no binding onset within 20 Newton steps at L = {L}")
 
     g50 = onset(50.0, 1024)
     g100 = onset(100.0, 2048)

@@ -32,6 +32,7 @@ def test_package_all_is_the_module_lists_in_order():
     ("specfun", "YoungExponents"),
     ("potentials", "evaluate_truncated"),
     ("potentials", "evaluate_shifted"),
+    ("potentials", "TruncatedPotential"),
     ("PotentialModel", "interp"),
     ("CriticalCouplingResult", "tolerance"),
 ])

@@ -265,16 +265,16 @@ def test_cutoff_never_evaluates_one_norm_twice(monkeypatch, V, q):
     cutoffs = []
     norm = bd.truncated_negative_norm
 
-    def spy(T, *args):
-        cutoffs.append(T.cutoff)
-        return norm(T, *args)
+    def spy(V, C, *args):
+        cutoffs.append(C)
+        return norm(V, C, *args)
 
     monkeypatch.setattr(bd, "truncated_negative_norm", spy)
     c, residual, at_cap = bd.cutoff_for_exponent(V, 1.0, 2.0, q)
     assert cutoffs and len(cutoffs) == len(set(cutoffs))
     # the residual is the one of the returned cutoff's own norm
     monkeypatch.setattr(bd, "truncated_negative_norm", norm)
-    lhs = bd._norm_term(pot.TruncatedPotential(V, c), 1.0, q, 3, sf.DEFAULT_QUADRATURE) / 2.0
+    lhs = bd._norm_term(V, c, 1.0, q, 3, sf.DEFAULT_QUADRATURE) / 2.0
     assert residual == abs(lhs - 1.0)
 
 

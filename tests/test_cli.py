@@ -239,6 +239,7 @@ def test_critical_csv_echoes_every_option_it_uses(tmp_path, capsys):
     config = out.read_text().splitlines()[2]
     assert config.startswith("# config: ")
     assert " N=256 " in config and " quad_abs_tol=1e-10 " in config
+    assert "eigen_tol=" not in config  # the root never reads it
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,6 +248,8 @@ def test_critical_csv_echoes_every_option_it_uses(tmp_path, capsys):
     ["solve", "--quad-abs-tol", "1e-8"],
     ["fig1", "--m", "2"],
     ["fig2", "--g-root-tol", "1e-6"],
+    ["critical", "--eigen-tol", "1e-6"],
+    ["fig1", "--eigen-tol", "1e-6"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -432,9 +435,14 @@ def test_unknown_potential_exits():
         cli.main(["bound3d", "--potential", "coulomb"])
 
 
-def test_config_file_accepts_the_former_root_tolerance_name(tmp_path, capsys):
+def test_config_file_rejects_the_former_root_tolerance_name(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("g_bisect_tol = 3e-7\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["critical", "--method", "bound", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:1: unknown key 'g_bisect_tol'" in capsys.readouterr().err
+    cfg.write_text("g_root_tol = 3e-7\n")
     args = cli.build_parser().parse_args(["critical", "--config", str(cfg)])
     assert cli._effective_options(cli.COMMANDS["critical"], args)["g_root_tol"] == 3e-7
     args = cli.build_parser().parse_args(

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from salpeter_bounds import potentials as pot
 from salpeter_bounds.errors import ConvergenceError, DivergentNormError, DomainError
-from salpeter_bounds.potentials import PotentialKind, TruncatedPotential
+from salpeter_bounds.potentials import PotentialKind
 from salpeter_bounds.specfun import QuadratureSpec
 
 ALL_KINDS = [
@@ -253,7 +253,7 @@ def test_truncated_log_closed_form_anchor():
     # and int_0^1 r^2 ln(r)^2 dr = 2/27 by repeated integration by parts
     L = pot.logarithmic(1.0, 1.0)
     want = math.sqrt(4.0 * math.pi * 2.0 / 27.0)
-    got = pot.truncated_negative_norm(TruncatedPotential(L, 0.0), 2.0, 3)
+    got = pot.truncated_negative_norm(L, 0.0, 2.0, 3)
     assert got == pytest.approx(want, rel=1e-13)
     quadrature = pot._quadrature_norm(L, 0.0, 2.0, 3, QuadratureSpec())
     assert quadrature == pytest.approx(want, rel=1e-10)
@@ -263,10 +263,10 @@ def test_truncated_log_closed_form_anchor():
 @pytest.mark.parametrize("s", [1.5, 2.0, 4.0])
 def test_truncated_log_closed_vs_quadrature(C, s):
     L = pot.logarithmic(0.7, 2.5)
-    cf = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 3)
+    cf = pot.truncated_negative_norm(L, C, s, 3)
     qd = pot._quadrature_norm(L, C, s, 3, QuadratureSpec())
     assert qd == pytest.approx(cf, rel=1e-10)
-    cf1 = pot.truncated_negative_norm(TruncatedPotential(L, C), s, 1)
+    cf1 = pot.truncated_negative_norm(L, C, s, 1)
     qd1 = pot._quadrature_norm(L, C, s, 1, QuadratureSpec())
     assert qd1 == pytest.approx(cf1, rel=1e-10)
 
@@ -282,24 +282,24 @@ def test_truncation_at_zero_cutoff_matches_plain_norm():
                 if make is pot.singular and dim == 1 and s >= 2.0:
                     continue  # diverges
                 b = pot.negative_part_norm(V, s, dim)
-                a = pot.truncated_negative_norm(TruncatedPotential(V, 0.0), s, dim)
+                a = pot.truncated_negative_norm(V, 0.0, s, dim)
                 assert a == pytest.approx(b, rel=1e-10)
-                below = TruncatedPotential(V, -1e-9 * V.g / V.R)
-                assert pot.truncated_negative_norm(below, s, dim) == pytest.approx(
+                below = -1e-9 * V.g / V.R
+                assert pot.truncated_negative_norm(V, below, s, dim) == pytest.approx(
                     b, rel=1e-6
                 )
 
 
 def test_truncation_below_minimum_gives_zero():
     E = pot.exponential(1.0, 1.0)  # min V = -1
-    assert pot.truncated_negative_norm(TruncatedPotential(E, -1.0), 2.0, 3) == 0.0
-    assert pot.truncated_negative_norm(TruncatedPotential(E, -5.0), 2.0, 3) == 0.0
+    assert pot.truncated_negative_norm(E, -1.0, 2.0, 3) == 0.0
+    assert pot.truncated_negative_norm(E, -5.0, 2.0, 3) == 0.0
 
 
 def test_truncated_norm_brute_force_cross_checks():
     E = pot.exponential(1.0, 1.0)
     for C in (-0.8, -0.35, -0.05):
-        got = pot.truncated_negative_norm(TruncatedPotential(E, C), 2.0, 3)
+        got = pot.truncated_negative_norm(E, C, 2.0, 3)
         rc = -math.log(-C)
         brute = quad(
             lambda r: 4.0 * math.pi * r * r * (C + math.exp(-r)) ** 2, 0.0, rc,
@@ -308,7 +308,7 @@ def test_truncated_norm_brute_force_cross_checks():
         assert got == pytest.approx(brute, rel=1e-10)
     P = pot.power_exponential(1.0, 1.0)
     for C in (-0.3, -0.1):
-        got = pot.truncated_negative_norm(TruncatedPotential(P, C), 2.0, 3)
+        got = pot.truncated_negative_norm(P, C, 2.0, 3)
         r1, r2 = pot._shifted_support(P, C)
         brute = quad(
             lambda r: 4.0 * math.pi * r * r * (C + r * math.exp(-r)) ** 2, r1, r2,
@@ -322,48 +322,48 @@ def test_truncated_norm_monotone_in_cutoff():
     L = pot.logarithmic(0.5, 2.5)
     cs = np.linspace(-3.0, 3.0, 50)
     vals = [
-        pot.truncated_negative_norm(TruncatedPotential(L, float(c)), 2.2, 3)
+        pot.truncated_negative_norm(L, float(c), 2.2, 3)
         for c in cs
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # continuity: the norm grows like exp(3CR/(sg)), so compare relatively
     eps = 1e-7
     for c in (-1.0, 0.0, 1.0):
-        a = pot.truncated_negative_norm(TruncatedPotential(L, c), 2.2, 3)
-        b = pot.truncated_negative_norm(TruncatedPotential(L, c + eps), 2.2, 3)
+        a = pot.truncated_negative_norm(L, c, 2.2, 3)
+        b = pot.truncated_negative_norm(L, c + eps, 2.2, 3)
         assert abs(b - a) / a < 1e-5
 
 
 def test_truncated_norm_divergence_above_tail():
     E = pot.exponential(1.0, 1.0)
     with pytest.raises(DivergentNormError):
-        pot.truncated_negative_norm(TruncatedPotential(E, 0.5), 2.0, 3)
+        pot.truncated_negative_norm(E, 0.5, 2.0, 3)
 
 
 def test_truncated_sup_norm():
     E = pot.exponential(2.0, 1.0)  # min V = -2
-    assert pot.truncated_negative_norm(TruncatedPotential(E, -0.5), math.inf) == (
+    assert pot.truncated_negative_norm(E, -0.5, math.inf) == (
         pytest.approx(1.5)
     )
     L = pot.logarithmic(1.0, 1.0)
-    assert pot.truncated_negative_norm(TruncatedPotential(L, 0.0), math.inf) == math.inf
+    assert pot.truncated_negative_norm(L, 0.0, math.inf) == math.inf
 
 
 def test_truncated_table_matches_parametric():
     rs = np.linspace(0.0, 40.0, 4000)
     T = pot.tabulated(rs, -np.exp(-rs))
     E = pot.exponential(1.0, 1.0)
-    a = pot.truncated_negative_norm(TruncatedPotential(T, -0.4), 2.0, 3)
-    b = pot.truncated_negative_norm(TruncatedPotential(E, -0.4), 2.0, 3)
+    a = pot.truncated_negative_norm(T, -0.4, 2.0, 3)
+    b = pot.truncated_negative_norm(E, -0.4, 2.0, 3)
     assert a == pytest.approx(b, rel=1e-6)
     with pytest.raises(DivergentNormError):
-        pot.truncated_negative_norm(TruncatedPotential(T, 0.5), 2.0, 3)
+        pot.truncated_negative_norm(T, 0.5, 2.0, 3)
 
 
 def test_truncated_singular():
     S = pot.singular(1.0, 1.0)
     spec = QuadratureSpec()
-    got = pot.truncated_negative_norm(TruncatedPotential(S, -1.0), 2.0, 3)
+    got = pot.truncated_negative_norm(S, -1.0, 2.0, 3)
     rc = pot._shifted_support(S, -1.0)[1]
     brute = quad(
         lambda u: 8.0 * math.pi * u**5
@@ -375,7 +375,7 @@ def test_truncated_singular():
     )[0] ** 0.5
     assert got == pytest.approx(brute, rel=1e-9)
     with pytest.raises(DivergentNormError):
-        pot.truncated_negative_norm(TruncatedPotential(S, -1.0), 6.5, 3)
+        pot.truncated_negative_norm(S, -1.0, 6.5, 3)
 
 
 def test_length_scale():
@@ -535,7 +535,7 @@ def test_norm_golden_values(kind, C, s, dim, want):
         V = pot.tabulated(rr, -np.exp(-rr) / rr, g=1.3)
     else:
         V = pot.singular(5.0, 1.0)
-    assert pot.truncated_negative_norm(TruncatedPotential(V, C), s, dim).hex() == want
+    assert pot.truncated_negative_norm(V, C, s, dim).hex() == want
 
 
 def _head_tables():
@@ -598,7 +598,7 @@ def test_table_head_support_shorter_than_quadrature_nodes_is_kept():
     assert p < 0.0
     r0 = V.table[0][0]
     cutoffs = np.linspace(-1000.0, -1100.0, 101)
-    norms = [pot.truncated_negative_norm(TruncatedPotential(V, float(C)), 3.27, 3)
+    norms = [pot.truncated_negative_norm(V, float(C), 3.27, 3)
              for C in cutoffs]
     crossing = [float(C) for C in cutoffs
                 if r0 * (float(C) / (V.g * v0)) ** (1.0 / p) < 0.0022 * r0]
@@ -615,7 +615,7 @@ def test_table_head_support_shorter_than_quadrature_nodes_is_kept():
                    ** 3.27, 0.0, r_c, epsabs=0.0, epsrel=1e-12, limit=200)
     k = max(0.0, C - V.g * min(v for _, v in V.table))
     assert k == 0.0  # the table itself lies above C: only the head contributes
-    assert pot.truncated_negative_norm(TruncatedPotential(V, C), 3.27, 3) == pytest.approx(
+    assert pot.truncated_negative_norm(V, C, 3.27, 3) == pytest.approx(
         head ** (1.0 / 3.27), rel=1e-8)
 
 
