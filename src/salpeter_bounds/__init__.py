@@ -21,9 +21,9 @@ imported.
 
 import os
 
-# The package's BLAS work is the eigensolvers' small dense operations:
-# ARPACK's (cold solves) on at most 20 vectors, and LOBPCG's (warm solves) on
-# blocks of at most 3, each of at most ``solver._MAX_GRID`` (16384) entries.
+# The package's BLAS work is the eigensolver's small dense operations:
+# ARPACK's restarted Lanczos on at most 20 vectors of at most
+# ``solver._MAX_GRID`` (16384) entries.
 # A second OpenBLAS thread does no useful work there; it only spins between
 # calls and nearly doubles an eigensolve's CPU time.  This must run before
 # the first submodule loads numpy or scipy.

@@ -13,8 +13,8 @@ Each command takes ``--config`` and only the options it reads; P stands for
 
 ``fig1`` compares the analytic critical-coupling bound of exp/pexp/sing with
 the oracle, ``fig2`` the cutoff mass bound of the logarithmic potential.
-``--g-root-tol`` is the relative tolerance of the oracle's Newton-chord
-critical-coupling root and of its stability under grid doubling;
+``--g-root-tol`` is the required relative stability of the oracle's critical
+coupling under grid doubling;
 ``--eigen-tol``, the ground state's N -> 2N drift, is read by solve and fig2.
 ``--q`` prints one fixed-exponent bound and no CSV, so it excludes ``--out``.
 Flags override a ``key = value`` config file, which may carry keys a given
@@ -97,7 +97,7 @@ OPTIONS = {opt.key: opt for opt in (
     Option("N", 256, int, help="oracle starting grid count"),
     Option("eigen_tol", 1e-6, float, help="relative grid self-convergence of the oracle"),
     Option("g_root_tol", 1e-6, float,
-           help="relative tolerance of the oracle critical-coupling root"),
+           help="required stability of the oracle critical coupling under grid doubling"),
     Option("quad_abs_tol", 1e-10, float, help="absolute quadrature tolerance"),
     Option("quad_rel_tol", 1e-10, float, help="relative quadrature tolerance"),
     Option("beta_grid", "0.2:5:9", help="a:b:n geometric grid of beta=m*R"),

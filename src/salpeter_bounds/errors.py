@@ -6,7 +6,6 @@ __all__ = [
     "ConvergenceError",
     "DivergentNormError",
     "PotentialClassError",
-    "BracketError",
 ]
 
 
@@ -28,7 +27,3 @@ class DivergentNormError(SalpeterBoundsError, ValueError):
 
 class PotentialClassError(SalpeterBoundsError, ValueError):
     """The potential admits no usable exponent q: it is out of the bound's class."""
-
-
-class BracketError(SalpeterBoundsError, RuntimeError):
-    """A root bracket could not be established."""

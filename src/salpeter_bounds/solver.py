@@ -13,33 +13,30 @@ kinetic term applied spectrally:
 
 Ground states are converged by doubling the grid count until the N vs 2N
 eigenvalue drift falls below the configured tolerance, doubling the box as
-well when a bound state's tail touches the boundary.  Every solve, in both
-dimensions and at every N, finds the lowest eigenpair of the matrix-free
-spectral operator, deterministically.  A cold solve (every refinement solve,
-and the first solve of a coupling root) runs restarted Lanczos (``eigsh``)
-from a flat vector.  A warm solve (every later solve of the root, started
-from an earlier eigenvector) runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-517, 2001) preconditioned by the inverse of the shifted kinetic diagonal,
-applied through the same transform pair as the operator; it raises
-``ConvergenceError`` if its residual misses the tolerance.
+well when a bound state's tail touches the boundary.
 
-The critical coupling where the ground-state mass crosses zero is located by
-a bracketed Newton-chord root at each grid level: M(g) is concave in g and
-its slope <u|v|u> comes with the eigenvector, so Newton steps stay on the
-M < 0 side and chord steps on the M > 0 side.  Each level starts from the
-previous level's root, and each solve from the nearest stored eigenvector.
+The critical coupling of a unit-coupling shape v, where the ground-state
+mass of K + g v crosses zero, is an eigenvalue of its own: K + g v is
+nonnegative exactly when g lambda_max(K^(-1/2) W K^(-1/2)) <= 1, with
+W = diag(-v) (Birman, Mat. Sb. 55, 125, 1961; Schwinger, PNAS 47, 122,
+1961).  So each grid level's critical coupling is 1 / lambda_max, and the
+grid doubles until that value is stable.
+
+Every eigensolve, in both dimensions and at every N, finds one extreme
+eigenpair of a matrix-free spectral operator by restarted Lanczos
+(``eigsh``) from a flat vector, deterministically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg
 from scipy.fft import dst
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .potentials import PotentialModel, evaluate, length_scale, with_coupling
 from .specfun import _check_mass_alpha
 
@@ -61,13 +58,8 @@ __all__ = [
 # boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD
 _TAIL_THRESHOLD = 1e-8
 _MAX_BOX_DOUBLINGS = 4
-# the largest grid count of the refinement loop and the coupling root
+# the largest grid count of the refinement loop and the critical coupling
 _MAX_GRID = 16384
-# a warm-started solve must bring the residual |H u - M u| of the unit vector
-# u below _LOBPCG_TOL times the lowest kinetic energy within _LOBPCG_MAXITER
-# LOBPCG iterations, or it raises
-_LOBPCG_TOL = 1e-9
-_LOBPCG_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -120,15 +112,14 @@ class SpectrumResult:
 
 @dataclass
 class CriticalCouplingResult:
-    """Coupling at which the ground-state mass crosses zero."""
+    """Coupling at which the ground-state mass crosses zero, with the
+    (grid count, coupling) of every grid level that led to it."""
 
     coupling: float
     converged: bool
-    iterations: int
-    bracket_history: list = field(default_factory=list)
-    grid_count: int = 0
-    box_size: float = 0.0
-    mass_residual: float = math.nan
+    levels: list
+    grid_count: int
+    box_size: float
 
 
 def sine_momenta(L: float, N: int) -> np.ndarray:
@@ -143,113 +134,67 @@ def kinetic_diagonal(p: np.ndarray, m: float, alpha: float) -> np.ndarray:
 
 def apply_kinetic_3d(u: np.ndarray, L: float, m: float, alpha: float) -> np.ndarray:
     """Kinetic operator acting on reduced radial samples via the sine basis."""
-    eps = kinetic_diagonal(sine_momenta(L, len(u) + 1), m, alpha)
-    return dst(eps * dst(u, type=1, norm="ortho"), type=1, norm="ortho")
+    _, eps, apply = _discretization(L, len(u) + 1, 3, m, alpha)
+    return apply(u, eps)
 
 
-def _lowest_state(apply, eps, Vx, grid, L: float, N: int, v0=None):
-    """Lowest eigenpair of H = apply(., eps) + diag(Vx) on ``grid``, where
-    ``apply(x, d)`` multiplies x by the diagonal d in the kinetic basis;
-    returns (M, grid, u) with sum u^2 L/N = 1 and a positive peak.
+def _discretization(L: float, N: int, dim: int, m: float, alpha: float):
+    """(grid, eps, apply) of the N-point discretization: the sample points,
+    the kinetic energies of the basis modes, and ``apply(x, d)``, which
+    multiplies x by the diagonal d in that basis.  3D: r_j = j L / N,
+    j = 1..N-1, and DST-I sine modes.  1D: x_j = -L/2 + (j + 1/2) L / N,
+    j = 0..N-1, and FFT plane waves; the half-step offset keeps the
+    (possibly singular) origin off the grid."""
+    if dim == 3:
+        grid = np.arange(1, N) * (L / N)
+        p = sine_momenta(L, N)
 
-    With no start vector, restarted Lanczos (``eigsh``) runs from a flat
-    vector.  A start vector ``v0`` (an eigenvector of a nearby problem) runs
-    LOBPCG from it instead, preconditioned by (eps - sigma)^-1 with sigma
-    just below the Rayleigh quotient of ``v0``; the eigenvalue is the
-    Rayleigh quotient of the result, whose residual must reach
-    _LOBPCG_TOL * (lowest kinetic energy) within _LOBPCG_MAXITER iterations.
-    """
-    n = len(grid)
-
-    def mv(x):
-        return apply(x, eps) + Vx * x
-
-    if v0 is None:
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=mv, dtype=float)
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, maxiter=50000)
-        M, u = float(w[0]), v[:, 0]
+        def apply(x, d):
+            return dst(d * dst(x, type=1, norm="ortho"), type=1, norm="ortho")
     else:
-        scale = float(eps.min())  # alpha m, up to the box's lowest momentum
-        tol = _LOBPCG_TOL * scale
-        x = v0 / math.sqrt(np.dot(v0, v0))
-        sigma = float(np.dot(x, mv(x))) - 0.1 * scale
-        inv = 1.0 / np.maximum(eps - sigma, 0.05 * scale)
-        # lobpcg passes (n, 1) blocks; the transforms act on 1-D vectors
-        _, X = scipy.sparse.linalg.lobpcg(
-            lambda X: mv(X[:, 0])[:, None], x[:, None],
-            M=lambda X: apply(X[:, 0], inv)[:, None],
-            largest=False, tol=tol, maxiter=_LOBPCG_MAXITER)
-        u = X[:, 0] / math.sqrt(np.dot(X[:, 0], X[:, 0]))
-        Hu = mv(u)
-        M = float(np.dot(u, Hu))
-        residual = float(np.linalg.norm(Hu - M * u))
-        if not residual <= tol:
-            raise ConvergenceError(
-                f"warm-started eigensolve not converged at N = {N}, L = {L:g}: "
-                f"residual {residual:.3g} > {tol:.3g} after at most "
-                f"{_LOBPCG_MAXITER} LOBPCG iterations")
+        grid = -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+        p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
+
+        def apply(x, d):
+            return np.fft.ifft(d * np.fft.fft(x)).real
+
+    return grid, kinetic_diagonal(p, m, alpha), apply
+
+
+def _extreme_eigenpair(matvec, n: int, which: str):
+    """Eigenpair of the symmetric n x n operator ``matvec`` with the lowest
+    (``which="SA"``) or highest (``"LA"``) eigenvalue, by restarted Lanczos
+    from a flat vector; returns (eigenvalue, unit eigenvector)."""
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    w, v = scipy.sparse.linalg.eigsh(op, k=1, which=which, v0=v0, maxiter=50000)
+    return float(w[0]), v[:, 0]
+
+
+def _lowest_state(V: PotentialModel, m: float, alpha: float, L: float, N: int, dim: int):
+    """Lowest eigenpair of H = K + diag(V) on the N-point grid; returns
+    (M, grid, u) with sum u^2 L/N = 1 and a positive peak."""
+    grid, eps, apply = _discretization(L, N, dim, m, alpha)
+    Vx = evaluate(V, np.abs(grid))
+    M, u = _extreme_eigenpair(lambda x: apply(x, eps) + Vx * x, len(grid), "SA")
     u = u / math.sqrt(np.sum(u * u) * (L / N))
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     return M, grid, u
 
 
-def _sample_points(L: float, N: int, dim: int) -> np.ndarray:
-    """Grid of the N-point discretization: r_j = j L / N, j = 1..N-1, in 3D;
-    x_j = -L/2 + (j + 1/2) L / N, j = 0..N-1, in 1D, where the half-step
-    offset keeps the (possibly singular) origin off the grid."""
-    if dim == 3:
-        return np.arange(1, N) * (L / N)
-    return -0.5 * L + (np.arange(N) + 0.5) * (L / N)
+def solve_once_3d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
+    """Single-resolution s-wave ground state; returns (M, r, u_normalized)."""
+    return _lowest_state(V, m, alpha, L, N, 3)
 
 
-def solve_once_3d(
-    V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
-):
-    """Single-resolution s-wave ground state; returns (M, r, u_normalized).
-    ``v0`` is a start vector near the ground state, such as a nearby
-    coupling's eigenvector; None (the default) starts from a flat vector."""
-    r = _sample_points(L, N, 3)
-    eps = kinetic_diagonal(sine_momenta(L, N), m, alpha)
-
-    def apply(x, d):
-        return dst(d * dst(x, type=1, norm="ortho"), type=1, norm="ortho")
-
-    return _lowest_state(apply, eps, evaluate(V, r), r, L, N, v0)
-
-
-def solve_once_1d(
-    V: PotentialModel, m: float, alpha: float, L: float, N: int, v0=None
-):
-    """Single-resolution 1D ground state; returns (M, x, psi_normalized).
-    ``v0`` is a start vector as for ``solve_once_3d``."""
-    x = _sample_points(L, N, 1)
-    p = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
-    eps = kinetic_diagonal(p, m, alpha)
-
-    def apply(y, d):
-        return np.fft.ifft(d * np.fft.fft(y)).real
-
-    return _lowest_state(apply, eps, evaluate(V, np.abs(x)), x, L, N, v0)
+def solve_once_1d(V: PotentialModel, m: float, alpha: float, L: float, N: int):
+    """Single-resolution 1D ground state; returns (M, x, psi_normalized)."""
+    return _lowest_state(V, m, alpha, L, N, 1)
 
 
 def _default_box(V: PotentialModel, m: float) -> float:
     return 20.0 * max(length_scale(V), 1.0 / m)
-
-
-def _coupling_slope(shape: PotentialModel, grid, u, L: float, N: int) -> float:
-    """dM/dg = <u|v|u> for the normalized ground state u of K + g v, where v
-    is the unit-coupling ``shape`` (Hellmann-Feynman)."""
-    return float(np.sum(u * u * evaluate(shape, np.abs(grid)))) * (L / N)
-
-
-def _refine(grid, u, L: float, N: int, dim: int) -> np.ndarray:
-    """Linear interpolation of a coarser level's state u onto the N-point grid."""
-    fine = _sample_points(L, N, dim)
-    if dim == 3:
-        return np.interp(fine, np.r_[0.0, grid, L], np.r_[0.0, u, 0.0])
-    return np.interp(fine, grid, u, period=L)
 
 
 def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
@@ -334,153 +279,48 @@ def critical_coupling_exact(
 ) -> CriticalCouplingResult:
     """Coupling g at which the ground-state mass of g * v crosses zero.
 
-    M(g) is concave (an infimum of functions affine in g), and its slope
-    dM/dg = <u|v|u> comes with the eigenvector (Hellmann-Feynman).  So a
-    Newton step lands on the M <= 0 side and a chord step between the two
-    ends of a bracket on the M >= 0 side: the bracket invariant
-    M(g_lo) > 0 > M(g_hi) holds by construction at every step.  Each grid
-    level narrows its bracket to 1e-3 * ``g_tol_rel``; the first level is
-    bracketed by doubling from g = 1, each later one by a Newton step from
-    the previous root.  Every eigensolve but the first is warm: it starts
-    from the stored eigenvector of the nearest coupling at the same N, or
-    from the coarser level's one, and so runs LOBPCG.
+    On the N-point grid, K + g v is nonnegative exactly when
+    g lambda_max(A) <= 1 for the Birman-Schwinger operator
+    A = K^(-1/2) W K^(-1/2), W = diag(-v), so the level's coupling is
+    1 / lambda_max(A), from one cold Lanczos solve.  The grid doubles from
+    ``cfg.N`` until two successive levels agree to ``grid_stability_rel``
+    relative (default: equal to ``g_tol_rel``); potentials with a non-smooth
+    core (the r^(-1/2) kind) converge only algebraically in the grid spacing
+    and need a looser value to finish at desk scale.  A coupling not stable
+    by ``_MAX_GRID`` raises ``ConvergenceError``, and a shape with no
+    attractive part on the grid (A <= 0, so no coupling binds) raises
+    ``DomainError``.
 
     ``m``/``alpha`` override the config values when given; ``v`` is used as
-    the unit-coupling shape.  ``grid_stability_rel`` (default: equal to
-    ``g_tol_rel``) is the required stability of the root under grid doubling;
-    potentials with a non-smooth core (the r^(-1/2) kind) converge only
-    algebraically in the grid spacing and need a looser value than the
-    root tolerance to finish at desk scale.
+    the unit-coupling shape.
     """
     cfg = cfg or SolverConfig()
     if m is not None or alpha is not None:
         cfg = replace(cfg, m=cfg.m if m is None else m,
                       alpha=cfg.alpha if alpha is None else alpha)
-    m, alpha = cfg.m, cfg.alpha
     stability = grid_stability_rel if grid_stability_rel is not None else g_tol_rel
     if not (0.0 < g_tol_rel < math.inf and 0.0 < stability < math.inf):
         raise DomainError("root and grid-stability tolerances must be positive and finite")
-    dim = cfg.dimension
     shape = with_coupling(v, 1.0)
-    solve = solve_once_3d if dim == 3 else solve_once_1d
-    L = cfg.L if cfg.L is not None else _default_box(shape, m)
-    # |M| below the eigensolver's noise has no reliable sign: such a coupling
-    # is a root, never a bracket end
-    floor = 1e-12 * alpha * m
-    level_tol = 1e-3 * g_tol_rel
+    L = cfg.L if cfg.L is not None else _default_box(shape, cfg.m)
 
-    states: dict[int, dict[float, tuple]] = {}
+    def coupling(N: int) -> float:
+        grid, eps, apply = _discretization(L, N, cfg.dimension, cfg.m, cfg.alpha)
+        w = -evaluate(shape, np.abs(grid))
+        if not np.max(w) > 0.0:
+            raise DomainError(
+                f"potential has no attractive part on the N = {N} grid: no coupling binds")
+        k = eps ** -0.5
+        lam, _ = _extreme_eigenpair(lambda x: apply(w * apply(x, k), k), len(grid), "LA")
+        return 1.0 / lam
 
-    def start_vector(g: float, N: int):
-        for n in (N, N // 2):
-            level = states.get(n)
-            if level:
-                _, grid, u = level[min(level, key=lambda h: abs(h - g))]
-                return u if n == N else _refine(grid, u, L, N, dim)
-        return None
-
-    def state(g: float, N: int) -> tuple:
-        level = states.setdefault(N, {})
-        if g not in level:
-            v0 = start_vector(g, N)
-            level[g] = solve(with_coupling(shape, g), m, alpha, L, N, v0=v0)
-        return level[g]
-
-    def mass(g: float, N: int) -> float:
-        return state(g, N)[0]
-
-    def newton(g: float, N: int) -> float:
-        M, grid, u = state(g, N)
-        return g - M / _coupling_slope(shape, grid, u, L, N)
-
-    history: list[tuple[float, float, int]] = []
-
-    def converge(lo: float, hi: float, N: int) -> float:
-        """Newton from g_hi or chord from g_lo, whichever leaves the narrower
-        bracket, until the bracket is level_tol wide; returns a solved g."""
-        while True:
-            history.append((lo, hi, N))
-            m_lo, m_hi = mass(lo, N), mass(hi, N)
-            steps = []  # (width of the bracket the step leaves, g)
-            if hi - lo > level_tol * hi:
-                g = newton(hi, N)
-                if lo < g < hi:
-                    steps.append((g - lo, g))
-                g = lo - m_lo * (hi - lo) / (m_hi - m_lo)
-                if lo < g < hi:
-                    steps.append((hi - g, g))
-            if not steps:  # narrow enough, or both steps round onto an end
-                return lo if m_lo < -m_hi else hi
-            g = min(steps)[1]
-            M = mass(g, N)
-            if abs(M) <= floor:
-                return g
-            if M > 0.0:
-                lo = g
-            else:
-                hi = g
-
-    def bracket(g: float, N: int) -> tuple[float, float]:
-        """Bracket at a new level from the previous root g: a Newton step
-        from g, then reflections of g through the newest M < 0 end."""
-        lo = hi = None
-        trial = g
-        for _ in range(80):
-            M = mass(trial, N)
-            if abs(M) <= floor:
-                return trial, trial
-            if M > 0.0:
-                lo = trial
-            else:
-                hi = trial
-            if lo is not None and hi is not None:
-                return lo, hi
-            trial = newton(trial, N) if hi is None or hi == g else 2.0 * hi - g
-            if trial <= g_tol_rel * g:  # the root fell out of reach of g
-                break
-        raise BracketError(
-            f"crossing not bracketed from the previous root g = {g:g} at N = {N}"
-        )
-
-    # first level: double g from 1 until M < 0, then halve it until M > 0
-    N = cfg.N
-    lo = hi = 1.0
-    for _ in range(80):
-        if mass(hi, N) < -floor:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise BracketError("mass never crosses zero: coupling bracket not found")
-    for _ in range(80):
-        if mass(lo, N) > floor:
-            break
-        hi = lo
-        lo /= 2.0
-    else:
-        raise BracketError("no positive-mass coupling found below the crossing")
-    if not mass(hi, N) < -floor:
-        raise BracketError(
-            f"bracket [{lo:g}, {hi:g}] misses M(g_lo) > 0 > M(g_hi) at N = {N}"
-        )
-
-    gc = converge(lo, hi, N)
-    gc_prev = None
-    while gc_prev is None or abs(gc - gc_prev) > stability * gc:
-        if 2 * N > _MAX_GRID:
+    levels = [(cfg.N, coupling(cfg.N))]
+    while len(levels) < 2 or abs(levels[-1][1] - levels[-2][1]) > stability * levels[-1][1]:
+        N = 2 * levels[-1][0]
+        if N > _MAX_GRID:
             raise ConvergenceError(
-                f"critical coupling not stable under grid doubling at N = {N}"
-            )
-        N *= 2
-        gc_prev = gc
-        lo, hi = bracket(gc_prev, N)
-        gc = lo if lo == hi else converge(lo, hi, N)
+                f"critical coupling not stable under grid doubling at N = {N // 2}")
+        levels.append((N, coupling(N)))
+    N, gc = levels[-1]
     return CriticalCouplingResult(
-        coupling=gc,
-        converged=True,
-        iterations=len(history),
-        bracket_history=history,
-        grid_count=N,
-        box_size=L,
-        mass_residual=mass(gc, N),
-    )
+        coupling=gc, converged=True, levels=levels, grid_count=N, box_size=L)

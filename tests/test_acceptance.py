@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from salpeter_bounds import bounds as bd
 from salpeter_bounds import cli
@@ -90,7 +91,7 @@ def keystone_sweep():
             cfg = sv.SolverConfig(m=beta, alpha=ALPHA, dimension=3, N=128)
             stability = 1e-3 if kind == "sing" else None
             res = sv.critical_coupling_exact(
-                shape, beta, ALPHA, cfg, g_tol_rel=1e-6, grid_stability_rel=stability
+                shape, cfg=cfg, g_tol_rel=1e-6, grid_stability_rel=stability
             )
             rows.append((kind, beta, res.coupling, gc_bound, stability or 1e-6))
     return rows
@@ -186,27 +187,26 @@ def test_criterion_6c_nonrelativistic_binding_onset():
     shape = pot.exponential(1.0, R)
 
     def onset(L, N):
-        def binding(g):
-            M, grid, u = sv.solve_once_3d(pot.exponential(g, R), m, alpha, L, N)
-            return M - alpha * m, sv._coupling_slope(shape, grid, u, L, N)
-
-        lo, hi = gc_theory * 0.7, gc_theory * 1.6
-        (b_lo, _), (b_hi, slope) = binding(lo), binding(hi)
-        assert b_lo > 0.0 > b_hi
-        # the binding energy is concave in g (an infimum of functions affine
-        # in g), so Newton steps on its Hellmann-Feynman slope from hi stay on
-        # the binding < 0 side and fall monotonically onto the onset
-        g = hi
-        for _ in range(20):
-            step = b_hi / slope
-            g -= step
-            if step <= 1e-6 * g:
-                return g
-            b_hi, slope = binding(g)
-        pytest.fail(f"no binding onset within 20 Newton steps at L = {L}")
+        # K - alpha m + g v binds exactly when g lambda_max(A) > 1 for the
+        # Birman-Schwinger operator A = (K - alpha m)^(-1/2) W (K - alpha m)^(-1/2),
+        # W = diag(-v): the oracle's critical coupling with eps - alpha m for eps
+        r, eps, apply = sv._discretization(L, N, 3, m, alpha)
+        k = (eps - alpha * m) ** -0.5
+        w = -pot.evaluate(shape, r)
+        op = scipy.sparse.linalg.LinearOperator(
+            (N - 1, N - 1), matvec=lambda x: apply(w * apply(x, k), k), dtype=float)
+        return 1.0 / scipy.sparse.linalg.eigsh(op, k=1, which="LA",
+                                               return_eigenvectors=False)[0]
 
     g50 = onset(50.0, 1024)
     g100 = onset(100.0, 2048)
+    # cold ground-state solves on either side of the L = 50 onset bind on
+    # either side of the threshold alpha m
+    below, above = (
+        sv.solve_once_3d(pot.exponential(g50 * f, R), m, alpha, 50.0, 1024)[0] - alpha * m
+        for f in (1.0 - 1e-6, 1.0 + 1e-6)
+    )
+    assert below > 0.0 > above
     g_extrapolated = 2.0 * g100 - g50
     deviation = abs(g_extrapolated - gc_theory) / gc_theory
     assert deviation < 0.02
@@ -245,17 +245,17 @@ def test_criterion_7b_monotonicity_in_coupling():
     _report(7, "(b) oracle mass and optimized bound both decrease with coupling")
 
 
-def test_criterion_7c_bisection_bracket_invariant():
+def test_criterion_7c_coupling_levels_straddle_the_crossing():
     cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
-    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), cfg=cfg)
     assert res.converged
-    step = max(1, len(res.bracket_history) // 5)
-    for lo, hi, N in res.bracket_history[::step]:
-        assert lo < hi
-        m_lo = sv.solve_once_3d(pot.exponential(lo, 1.0), 1.0, 2.0, res.box_size, N)[0]
-        m_hi = sv.solve_once_3d(pot.exponential(hi, 1.0), 1.0, 2.0, res.box_size, N)[0]
-        assert m_lo > 0.0 > m_hi
-    _report(7, "(c) bisection bracket invariant M(g_lo) > 0 > M(g_hi) at every stage")
+    for N, g in res.levels:
+        below, above = (
+            sv.solve_once_3d(pot.exponential(g * f, 1.0), 1.0, 2.0, res.box_size, N)[0]
+            for f in (1.0 - 1e-9, 1.0 + 1e-9)
+        )
+        assert below > 0.0 > above, (N, g)
+    _report(7, "(c) cold M(g_c (1 - 1e-9)) > 0 > M(g_c (1 + 1e-9)) at every grid level")
 
 
 def test_criterion_7d_csv_determinism(tmp_path):

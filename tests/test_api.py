@@ -35,6 +35,7 @@ def test_package_all_is_the_module_lists_in_order():
     ("potentials", "TruncatedPotential"),
     ("PotentialModel", "interp"),
     ("CriticalCouplingResult", "tolerance"),
+    ("errors", "BracketError"),
 ])
 def test_deleted_names_stay_gone(owner, attr):
     assert not hasattr(getattr(salpeter_bounds, owner), attr)

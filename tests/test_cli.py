@@ -115,6 +115,17 @@ def test_critical_exact_and_csv(tmp_path, capsys):
     assert (beta, b, e) == (1.0, pytest.approx(bound), pytest.approx(exact))
 
 
+def test_critical_from_a_coarse_grid_in_a_wide_box(capsys):
+    # N = 32 in L = 160 puts the first level's coupling 40 times too high
+    code, text, _ = run_cli(
+        ["critical", "--potential", "exp", "--method", "exact", "--N", "32", "--L", "160"],
+        capsys,
+    )
+    assert code == 0
+    exact = float(text.split("g_c exact:")[1].split()[0])
+    assert exact == pytest.approx(7.828024525846, rel=1e-11)
+
+
 def test_critical_sing_uses_the_fig1_stability_rule(tmp_path, capsys):
     # sing converges only to ~1e-4 under grid doubling; critical and fig1
     # apply the same 1e-3 stability rule and agree to the last digit

@@ -9,9 +9,21 @@ import scipy.sparse.linalg
 
 from salpeter_bounds import potentials as pot
 from salpeter_bounds import solver as sv
-from salpeter_bounds.errors import BracketError, ConvergenceError, DomainError
+from salpeter_bounds.errors import ConvergenceError, DomainError
 
 ZERO = pot.tabulated([0.0, 50.0], [0.0, 0.0])
+
+
+def assert_levels_straddle_the_crossing(shape, cfg, res, levels=None):
+    """Cold solves at g (1 -/+ 1e-9) of each level's coupling g bind on
+    opposite sides of M = 0 at that level's grid count."""
+    solve = sv.solve_once_3d if cfg.dimension == 3 else sv.solve_once_1d
+    for N, g in res.levels if levels is None else levels:
+        below, above = (
+            solve(pot.with_coupling(shape, g * f), cfg.m, cfg.alpha, res.box_size, N)[0]
+            for f in (1.0 - 1e-9, 1.0 + 1e-9)
+        )
+        assert below > 0.0 > above, (N, g, below, above)
 
 
 def dense_hamiltonian_3d(V, m, alpha, L, N):
@@ -161,7 +173,7 @@ def test_doubled_box_failure_raises(monkeypatch):
     # converged at L = 20 with a flat state, whose tail forces a box doubling;
     # the doubled box never converges, and the L = 20 result must not be
     # returned in its place
-    def fake_solve(V, m, alpha, L, N, v0=None):
+    def fake_solve(V, m, alpha, L, N):
         grid = np.arange(1, N) * (L / N)
         return (1.0 if L == 20.0 else float(N)), grid, np.ones(N - 1)
 
@@ -201,33 +213,48 @@ def test_iterative_path_matches_dense(dim, N):
     assert iterative == pytest.approx(dense, rel=1e-9)
 
 
-def test_critical_coupling_newton_chord():
+def test_critical_coupling_levels_straddle_the_crossing():
     E = pot.exponential(1.0, 1.0)
     cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
-    res = sv.critical_coupling_exact(E, 1.0, 2, cfg, g_tol_rel=1e-6)
+    res = sv.critical_coupling_exact(E, cfg=cfg, g_tol_rel=1e-6)
     assert res.converged
     # frozen from the first converged run (stable under grid doubling)
     assert res.coupling == pytest.approx(7.82803, rel=2e-5)
-    assert abs(res.mass_residual) < 1e-4
-    assert res.iterations == len(res.bracket_history)
-    # bracket invariant: M(lo) > 0 > M(hi), spot-checked on a sample
-    for lo, hi, N in res.bracket_history[:: max(1, len(res.bracket_history) // 4)]:
-        assert lo < hi
-        m_lo = sv.solve_once_3d(pot.exponential(lo, 1.0), 1.0, 2.0, res.box_size, N)[0]
-        m_hi = sv.solve_once_3d(pot.exponential(hi, 1.0), 1.0, 2.0, res.box_size, N)[0]
-        assert m_lo > 0.0 > m_hi
+    assert (res.grid_count, res.coupling) == res.levels[-1]
+    assert_levels_straddle_the_crossing(E, cfg, res)
 
 
-def test_critical_coupling_rejects_lost_bracket(monkeypatch):
-    # M(g) = 1 - g at N = 128 puts the root on the first bracket's end g = 1,
-    # whose mass 0 is no M(g_hi) < 0, so the first level has no bracket
-    def fake_solve(V, m, alpha, L, N, v0=None):
-        return (1.0 if N <= 128 else 1e-9) - V.g, None, None
+def test_critical_coupling_1d_levels_straddle_the_crossing():
+    shape = pot.exponential(1.0, 1.0)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, dimension=1, N=128)
+    # the |x| kink of V(|x|) converges only quadratically in the spacing
+    res = sv.critical_coupling_exact(
+        shape, cfg=cfg, g_tol_rel=1e-6, grid_stability_rel=1e-5
+    )
+    assert res.converged
+    assert len(res.levels) > 1
+    assert_levels_straddle_the_crossing(shape, cfg, res)
 
-    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
-    with pytest.raises(BracketError, match="at N = 128"):
-        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+
+_RADII = np.linspace(0.0, 12.0, 80)
+# attractive core, repulsive shoulder around r = 2.5
+_SHOULDER = pot.tabulated(
+    _RADII, -np.exp(-_RADII) + 0.3 * np.exp(-(((_RADII - 2.5) / 0.7) ** 2)))
+
+
+@pytest.mark.parametrize("shape, L, gc", [
+    (pot.exponential(1.0, 1.0), 40.0, 7.828024525846),
+    (_SHOULDER, 30.0, 7.992757204104),
+], ids=["exp", "shoulder"])
+def test_critical_coupling_survives_a_far_coarse_level(shape, L, gc):
+    # the N = 16 level's coupling is 3.7 (exp) or 17 (shoulder) times the
+    # converged one, and the N = 32 level's lies below half of it
+    cfg = sv.SolverConfig(m=1.0, alpha=2, N=16, L=L)
+    res = sv.critical_coupling_exact(shape, cfg=cfg)
+    assert res.levels[0][1] > 3.0 * gc
+    assert res.grid_count <= 2048
+    assert res.coupling == pytest.approx(gc, rel=1e-11)
+    assert_levels_straddle_the_crossing(shape, cfg, res, res.levels[-1:])
 
 
 def test_critical_coupling_rejects_zero_alpha():
@@ -241,139 +268,54 @@ def test_critical_coupling_rejects_zero_alpha():
 def test_critical_coupling_rejects_bad_tolerances(tols):
     # a nan tolerance once let the first grid level's root pass as converged
     with pytest.raises(DomainError, match="tolerances must be positive and finite"):
-        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2.0, sv.SolverConfig(N=64),
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), cfg=sv.SolverConfig(N=64),
                                    g_tol_rel=tols[0], grid_stability_rel=tols[1])
 
 
-def test_critical_coupling_rejects_root_jump(monkeypatch):
-    # with a unit Newton slope the root of M(g) = root - g is found exactly
-    # at N = 128; at N = 256 the Newton step from it lands at 1e-9, below
-    # g_tol_rel times the previous root, so the new level has no bracket
-    def fake_solve(V, m, alpha, L, N, v0=None):
-        grid = np.arange(1, N) * (L / N)
-        return (1.1 if N <= 128 else 1e-9) - V.g, grid, np.ones(N - 1)
-
-    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
-    monkeypatch.setattr(sv, "_coupling_slope", lambda *args: -1.0)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=128)
-    with pytest.raises(BracketError, match="N = 256"):
-        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
+def test_critical_coupling_not_stable_within_the_grid_limit_raises(monkeypatch):
+    monkeypatch.setattr(sv, "_MAX_GRID", 256)
+    cfg = sv.SolverConfig(m=1.0, alpha=2, L=40.0, N=64)
+    with pytest.raises(ConvergenceError, match="grid doubling at N = 256"):
+        sv.critical_coupling_exact(pot.exponential(1.0, 1.0), cfg=cfg)
 
 
-def test_critical_coupling_bracket_failure():
-    # a potential with no attractive part never drives the mass to zero
+@pytest.mark.parametrize("shape", [ZERO, pot.tabulated([0.0, 50.0], [1.0, 0.5])],
+                         ids=["zero", "repulsive"])
+def test_critical_coupling_without_attractive_part_raises(shape):
+    # -v is nowhere positive, so lambda_max <= 0 and no coupling binds
     cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=32)
-    with pytest.raises(BracketError):
-        sv.critical_coupling_exact(ZERO, 1.0, 2, cfg)
+    with pytest.raises(DomainError, match="no attractive part"):
+        sv.critical_coupling_exact(shape, cfg=cfg)
 
 
 def test_critical_coupling_beta_invariance():
-    cfg = sv.SolverConfig(N=128)
-    a = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
-    b = sv.critical_coupling_exact(pot.exponential(1.0, 0.5), 2.0, 2, cfg)
+    a = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), cfg=sv.SolverConfig(m=1.0, N=128))
+    b = sv.critical_coupling_exact(pot.exponential(1.0, 0.5), cfg=sv.SolverConfig(m=2.0, N=128))
     # (m, R) -> (2m, R/2) leaves beta = mR fixed; the discretized problem is
     # identical up to overall scale
     assert b.coupling == pytest.approx(a.coupling, rel=1e-10)
 
 
-@pytest.mark.parametrize("dim", [3, 1])
-def test_hellmann_feynman_slope_matches_finite_difference(dim):
-    shape = pot.exponential(1.0, 1.0)
-    solve = sv.solve_once_3d if dim == 3 else sv.solve_once_1d
-    L, N, g, h = 20.0, 256, 5.0, 1e-4
-    _, grid, u = solve(pot.with_coupling(shape, g), 1.0, 2.0, L, N)
-    slope = sv._coupling_slope(shape, grid, u, L, N)
-    plus = solve(pot.with_coupling(shape, g + h), 1.0, 2.0, L, N)[0]
-    minus = solve(pot.with_coupling(shape, g - h), 1.0, 2.0, L, N)[0]
-    assert slope < 0.0
-    assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-6)
-
-
-@pytest.mark.parametrize("kind", ["exp", "sing"])
-@pytest.mark.parametrize("N", [512, 2048])
-@pytest.mark.parametrize("dim", [3, 1])
-def test_warm_start_matches_cold_start(dim, N, kind):
-    # a warm start runs LOBPCG, a cold one eigsh: the two must agree
-    shape = {"exp": pot.exponential, "sing": pot.singular}[kind](1.0, 1.0)
-    solve = sv.solve_once_3d if dim == 3 else sv.solve_once_1d
-    L, g = 20.0, 6.0
-    V = pot.with_coupling(shape, g)
-    cold = solve(V, 1.0, 2.0, L, N)[0]
-    # start vectors as the coupling root makes them: a nearby coupling's
-    # state at the same N, and a coarser level's state interpolated
-    near = solve(pot.with_coupling(shape, 1.01 * g), 1.0, 2.0, L, N)[2]
-    _, grid, coarse = solve(V, 1.0, 2.0, L, N // 2)
-    for v0 in (near, sv._refine(grid, coarse, L, N, dim)):
-        warm = solve(V, 1.0, 2.0, L, N, v0=v0)[0]
-        assert warm == pytest.approx(cold, rel=1e-12)
-
-
-@pytest.mark.filterwarnings("ignore:Exited")
-def test_warm_start_that_misses_its_tolerance_raises(monkeypatch):
-    # no fallback to eigsh and no last iterate: the unconverged solve raises
-    V = pot.exponential(6.0, 1.0)
-    _, grid, coarse = sv.solve_once_3d(V, 1.0, 2.0, 20.0, 256)
-    v0 = sv._refine(grid, coarse, 20.0, 512, 3)
-    monkeypatch.setattr(sv, "_LOBPCG_MAXITER", 1)
-    with pytest.raises(ConvergenceError, match=r"N = 512, L = 20: residual"):
-        sv.solve_once_3d(V, 1.0, 2.0, 20.0, 512, v0=v0)
-
-
-def test_cold_solves_run_eigsh_and_warm_solves_lobpcg(monkeypatch):
-    # the refinement loop's solves are cold: they never reach LOBPCG
-    def no_lobpcg(*args, **kwargs):
-        raise AssertionError("LOBPCG on a cold solve")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", no_lobpcg)
-    E = pot.exponential(6.0, 1.0)
-    assert sv.ground_state_3d_swave(E, sv.SolverConfig(N=64)).converged
-    assert sv.ground_state_1d(E, sv.SolverConfig(dimension=1, N=64, eigen_tol=1e-4)).converged
-    monkeypatch.undo()
-
-    # a coupling root runs eigsh once, for its first solve
+def test_critical_coupling_solve_count(monkeypatch):
+    # one eigsh call per grid level, and the levels double from cfg.N
     calls = []
     eigsh = scipy.sparse.linalg.eigsh
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0].shape[0])
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
-    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
-    assert res.converged and res.grid_count > 128
-    assert calls == [(127, 127)]
-
-
-def test_critical_coupling_solve_count(monkeypatch):
-    calls = []
-    solve = sv.solve_once_3d
-
-    def counted(*args, **kwargs):
-        calls.append(args[4])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(sv, "solve_once_3d", counted)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, N=128)
-    res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), 1.0, 2, cfg)
-    assert res.converged
-    assert len(calls) <= 32
-
-
-def test_critical_coupling_1d_brackets_survive_cold_solves():
-    shape = pot.exponential(1.0, 1.0)
-    cfg = sv.SolverConfig(m=1.0, alpha=2, dimension=1, N=128)
-    # the |x| kink of V(|x|) converges only quadratically in the spacing
-    res = sv.critical_coupling_exact(
-        shape, cfg=cfg, g_tol_rel=1e-6, grid_stability_rel=1e-5
-    )
-    assert res.converged
-    assert res.iterations == len(res.bracket_history) > 0
-    for lo, hi, N in res.bracket_history:
-        assert lo < hi
-        m_lo = sv.solve_once_1d(pot.with_coupling(shape, lo), 1.0, 2.0, res.box_size, N)[0]
-        m_hi = sv.solve_once_1d(pot.with_coupling(shape, hi), 1.0, 2.0, res.box_size, N)[0]
-        assert m_lo > 0.0 > m_hi
+    for dim in (3, 1):
+        calls.clear()
+        cfg = sv.SolverConfig(m=1.0, alpha=2, dimension=dim, N=128)
+        res = sv.critical_coupling_exact(pot.exponential(1.0, 1.0), cfg=cfg,
+                                         grid_stability_rel=1e-5)
+        grids = [N for N, _ in res.levels]
+        assert len(grids) > 1
+        assert grids == [128 * 2**i for i in range(len(grids))]
+        # one unknown per grid point in 1D; u(0) = u(L) = 0 removes one in 3D
+        assert calls == [N - 1 if dim == 3 else N for N in grids]
 
 
 def test_grid_count_must_leave_room_to_double(monkeypatch):
