@@ -16,8 +16,10 @@ r and R in GeV^-1, V and C in GeV, g dimensionless.
 Each kind has one route for the norms of V^- = max(0, -V) and of the
 cutoff-and-shift part (C - V)^+: Gamma closed forms for exp/pexp/sing at
 C = 0 and for log at every C, singularity-aware quadrature for exp/pexp/sing
-below C = 0, and piecewise quadrature for tables.  ``_quadrature_norm`` also
-covers C = 0 and log, as the independent check of the closed forms.
+below C = 0 over the closed-form support of (C - V)^+ (a logarithm for exp,
+Lambert-W values for sing and pexp), and piecewise quadrature for tables.
+``_quadrature_norm`` also covers C = 0 and log, as the independent check of
+the closed forms.
 The quadrature integrands evaluate V through scalar kernels that repeat the
 array path's floating-point operations on a float, so they give the bits
 ``evaluate`` gives at a fraction of its per-call cost: ``_profile`` for the
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import ConvergenceError, DivergentNormError, DomainError
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, _log_tail_end, _quad, _tail
@@ -258,26 +260,18 @@ def _check_norm_args(V: PotentialModel, s: float, dim: int) -> None:
         )
 
 
+# V^- = (g/R) (r/R)^a e^(-r/R) of the decaying parametric kinds
+_POWER = {PotentialKind.EXPONENTIAL: 0.0, PotentialKind.POWER_EXPONENTIAL: 1.0,
+          PotentialKind.SINGULAR: -0.5}
+
+
 def _closed_form_norm(V: PotentialModel, s: float, dim: int) -> float:
-    """log-space Gamma closed forms of ||V^-||_s for exp, pexp and sing."""
-    g, R = V.g, V.R
-    if dim == 3:
-        if V.kind is PotentialKind.EXPONENTIAL:
-            inner = math.log(8.0 * math.pi) - 3.0 * math.log(s)
-        elif V.kind is PotentialKind.POWER_EXPONENTIAL:
-            inner = (
-                math.log(4.0 * math.pi) + math.lgamma(s + 3.0) - (s + 3.0) * math.log(s)
-            )
-        else:  # SINGULAR
-            inner = (math.log(4.0 * math.pi) + math.lgamma(3.0 - s / 2.0)
-                     + (3.0 - s / 2.0) * -math.log(s))
-    elif V.kind is PotentialKind.EXPONENTIAL:
-        inner = math.log(2.0) - math.log(s)
-    elif V.kind is PotentialKind.POWER_EXPONENTIAL:
-        inner = math.log(2.0) + math.lgamma(s + 1.0) - (s + 1.0) * math.log(s)
-    else:  # SINGULAR
-        inner = math.log(2.0) + math.lgamma(1.0 - s / 2.0) + (1.0 - s / 2.0) * -math.log(s)
-    return g * math.exp((dim / s - 1.0) * math.log(R) + inner / s)
+    """log-space Gamma closed form of ||V^-||_s for exp, pexp and sing:
+    ||V^-||_s^s = w (g/R)^s R^dim Gamma(a s + dim) / s^(a s + dim), with
+    w = 4 pi in 3D and 2 in 1D the weight at r = 1."""
+    n = _POWER[V.kind] * s + dim
+    inner = math.log(_weight(dim, 1.0)) + math.lgamma(n) - n * math.log(s)
+    return V.g * math.exp((dim / s - 1.0) * math.log(V.R) + inner / s)
 
 
 def _log_norm(V: PotentialModel, C: float, s: float, dim: int) -> float:
@@ -482,43 +476,36 @@ def _tail_limit(V: PotentialModel) -> float:
 
 def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     """Support interval (a, b) of (C - V)^+ for the parametric kinds, at
-    C <= _tail_limit(V).  b is infinite at C = 0 for the decaying kinds,
-    where (C - V)^+ = V^-.
+    C <= _tail_limit(V), in closed form: a logarithm for exp and log,
+    Lambert-W values for sing and pexp.  b is infinite at C = 0 for the
+    decaying kinds, where (C - V)^+ = V^-.
     """
     g, R = V.g, V.R
     if V.kind is PotentialKind.LOGARITHMIC:
         return 0.0, R * math.exp(C * R / g)
     if C == 0.0:
         return 0.0, math.inf
+    if C <= min_value(V):
+        return 0.0, 0.0
     if V.kind is PotentialKind.EXPONENTIAL:
-        if C <= -g / R:
-            return 0.0, 0.0
         return 0.0, -R * math.log(-C * R / g)
     if V.kind is PotentialKind.SINGULAR:
-        lo, hi = R * 1e-12, R
-        while _profile(V, hi) < C:
-            hi *= 2.0
-        while _profile(V, lo) > C and lo > 1e-280:
-            lo *= 1e-3
-        # log-space keeps uniform relative precision over many decades
-        t = brentq(
-            lambda t: _profile(V, math.exp(t)) - C,
-            math.log(lo),
-            math.log(hi),
-            xtol=1e-13,
-            rtol=8.9e-16,
-            maxiter=300,
-        )
-        return 0.0, math.exp(t)
-    # POWER_EXPONENTIAL: single minimum at r = R
-    if C <= -g / (math.e * R):
-        return 0.0, 0.0
-    r1 = brentq(lambda r: _profile(V, r) - C, 1e-280, R, rtol=1e-15)
-    hi = 2.0 * R
-    while _profile(V, hi) < C:
-        hi *= 2.0
-    r2 = brentq(lambda r: _profile(V, r) - C, R, hi, rtol=1e-15)
-    return r1, r2
+        # g/R (r/R)^(-1/2) e^(-r/R) = -C.  (g/(CR))^2 as float quotients and
+        # products, which overflow to inf (b = inf, as at C = 0) where **
+        # would raise, and underflow to 0 (b = 0)
+        t = g / R / C
+        return 0.0, 0.5 * R * float(lambertw(2.0 * t * t).real)
+    # POWER_EXPONENTIAL: (r/R) e^(-r/R) = -x, x = CR/g, on both sides of r = R,
+    # at r = -R W_0(x) and -R W_-1(x).  scipy's lambertw is nan at the float
+    # nearest the branch point x = -1/e, which x can round to for C above the
+    # minimum, and its W_-1 reads about -1 - 3d instead of -1 - sqrt(2d) for
+    # d = 1 + e x below 5e-9; there the branches' series
+    # W_0 + W_-1 = -2 - 4d/3 + O(d^2) is exact to rounding
+    x = max(C * R / g, math.nextafter(-1.0 / math.e, 0.0))
+    w0 = float(lambertw(x).real)
+    d = 1.0 + math.e * x
+    w1 = -2.0 - w0 - 4.0 * d / 3.0 if d < 1e-8 else float(lambertw(x, -1).real)
+    return -R * w0, -R * w1
 
 
 def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> float:

@@ -405,6 +405,15 @@ def test_workers_env_var_must_be_an_integer(monkeypatch, capsys):
         "salpeter-bounds: error: SALPETER_BOUNDS_WORKERS='abc' is not an integer\n")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_single_shot_commands_ignore_the_workers_env_var(monkeypatch, capsys, value):
+    # only the sweeps take --workers, so only they read the variable
+    monkeypatch.setenv("SALPETER_BOUNDS_WORKERS", value)
+    code, out, _ = run_cli(["bound3d", "--potential", "exp"], capsys)
+    assert code == 0
+    assert "mass bound:" in out
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_workers_flag_must_be_at_least_one(capsys, value):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Potential models, negative-part norms, and the cutoff-and-shift norms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -378,6 +379,57 @@ def test_truncated_singular():
         pot.truncated_negative_norm(S, -1.0, 6.5, 3)
 
 
+def test_shifted_support_is_the_lambert_w_closed_form():
+    # pexp: (r/R) e^(-r/R) = -CR/g at r = -R W_k(CR/g), k = 0 and -1;
+    # sing: (R/r)^(1/2) e^(-r/R) = -CR/g at r = (R/2) W_0(2 (g/(CR))^2)
+    mpmath = pytest.importorskip("mpmath")
+    P, S = pot.power_exponential(1.0, 1.0), pot.singular(1.0, 1.0)
+    for C in -np.logspace(-15.0, -1.0, 57):
+        C = float(C)
+        r1, r2 = pot._shifted_support(P, C)
+        assert r1 == pytest.approx(float(-mpmath.lambertw(C, 0).real), rel=1e-14, abs=0.0)
+        assert r2 == pytest.approx(float(-mpmath.lambertw(C, -1).real), rel=1e-14, abs=0.0)
+        b = float(mpmath.lambertw(2 * mpmath.mpf(C) ** -2).real / 2)
+        assert pot._shifted_support(S, C) == (0.0, pytest.approx(b, rel=1e-14, abs=0.0))
+
+
+def test_pexp_support_near_the_minimum():
+    # the two ends close on r = R like R (1 -+ sqrt(2d)) for C = min V (1 - d);
+    # scipy's W_-1 alone puts the upper end at R (1 + 3d) for d below 5e-9
+    mpmath = pytest.importorskip("mpmath")
+    V = pot.power_exponential(1.0, 1.0)
+    for d in np.logspace(-12.0, -3.0, 19).tolist():
+        C = pot.min_value(V) * (1.0 - d)
+        r1, r2 = pot._shifted_support(V, C)
+        assert r1 == pytest.approx(float(-mpmath.lambertw(C, 0).real), rel=1e-10, abs=0.0)
+        assert r2 == pytest.approx(float(-mpmath.lambertw(C, -1).real), rel=1e-10, abs=0.0)
+    # CR/g can round to the float nearest -1/e, where scipy's lambertw is nan
+    V = pot.power_exponential(3.7631437257094627, 7.373020049150688)
+    C = math.nextafter(pot.min_value(V), 0.0)
+    assert C * V.R / V.g == -1.0 / math.e
+    r1, r2 = pot._shifted_support(V, C)
+    assert r1 == pytest.approx(V.R, rel=1e-7) and r2 == pytest.approx(V.R, rel=1e-7)
+
+
+def test_extreme_cutoffs_give_a_value():
+    # below min V the support is empty; sing has none, but its support
+    # underflows to 0 for deep cutoffs
+    S = pot.singular(1.0, 1.0)
+    for C in (-1e200, -1e300, -sys.float_info.max):
+        assert pot._shifted_support(S, C) == (0.0, 0.0)
+        assert pot.truncated_negative_norm(S, C, 2.0, 3) == 0.0
+    assert pot._shifted_support(pot.power_exponential(1.0, 1.0), -5e-324) == (5e-324, math.inf)
+    # just below C = 0 the support reaches past the double range; the norm is
+    # still ||V^-||_s
+    for make in (pot.exponential, pot.power_exponential, pot.singular):
+        V = make(1.0, 1.0)
+        for s, dim in ((2.0, 3), (5.5, 3), (1.5, 1), (1.9, 1)):
+            want = pot.negative_part_norm(V, s, dim)
+            for C in (-5e-324, -1e-300, -1e-200, -1e-100, -1e-16):
+                got = pot.truncated_negative_norm(V, C, s, dim)
+                assert got == pytest.approx(want, rel=1e-12), (V.kind, C, s, dim)
+
+
 def test_length_scale():
     assert pot.length_scale(pot.exponential(1.0, 3.0)) == 3.0
     T = pot.tabulated([0.0, 10.0], [0.0, 0.0])
@@ -513,7 +565,9 @@ def test_skipping_vanishing_table_pieces_is_bit_for_bit():
 
 
 # float.hex of norms recorded before the kernels were fused and vanishing
-# pieces skipped; they must never move without an intended change of values
+# pieces skipped (sing at C = -40 and -12: re-recorded when the support of
+# (C - V)^+ became its Lambert-W closed form, a move of 7e-15 and 7e-14
+# relative); they must never move without an intended change of values
 @pytest.mark.parametrize("kind, C, s, dim, want", [
     ("table", 0.0, 3.0, 3, "0x1.446ed6c3c0aaep+3"),
     ("table", -4.0, 3.0, 3, "0x1.fe2fc4c931f89p+0"),
@@ -523,9 +577,9 @@ def test_skipping_vanishing_table_pieces_is_bit_for_bit():
     ("yukawa", 0.0, 2.5, 3, "0x1.f2dc8fb2e2f05p+1"),
     ("yukawa", 0.0, 2.0, 3, "0x1.a28b6b0f2be23p+1"),
     ("sing", -3.0, 3.5, 3, "0x1.0c254e957e725p+2"),
-    ("sing", -40.0, 5.5, 3, "0x1.bf03532a985d6p+2"),
+    ("sing", -40.0, 5.5, 3, "0x1.bf03532a9859dp+2"),
     ("sing", -0.5, 1.5, 1, "0x1.0acf64b27dc71p+4"),
-    ("sing", -12.0, 1.9, 1, "0x1.ed22daef52028p+4"),
+    ("sing", -12.0, 1.9, 1, "0x1.ed22daef52289p+4"),
 ])
 def test_norm_golden_values(kind, C, s, dim, want):
     if kind == "table":
