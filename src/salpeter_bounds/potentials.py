@@ -23,9 +23,9 @@ the closed forms.
 The quadrature integrands evaluate V through scalar kernels that repeat the
 array path's floating-point operations on a float, so they give the bits
 ``evaluate`` gives at a fraction of its per-call cost: ``_profile`` for the
-parametric kinds, and for tables ``_table_integrand``, the one scalar
-evaluator of the interpolant.  It and the singular head ``_singular_head``
-are each one closure doing those operations with their constants hoisted.
+parametric kinds, and two closures with their constants hoisted, the
+singular head ``_singular_head`` and ``_piece_integrand``, which integrates
+one table piece with that piece's own polynomial.
 Each table's interpolant, pieces, knot minimum and head power law are one
 record, built once by ``_table``.  Table pieces on which (C - V)^+ vanishes
 are not integrated (their quadrature is exactly 0), and the power-law head
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -362,25 +363,16 @@ def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
     return replace(spec, rel_tol=slack)
 
 
-def _table_integrand(V: PotentialModel, C: float, k: float, s: float, dim: int):
-    """w(r) ((C - V(r))^+ / k)^s of a tabulated potential on its knot range:
-    _weight(dim, r) * _scaled_power(max(0, C - g pp(r)), k, s) operation for
-    operation, in one closure over the table's pieces (k > 0).  The interval
-    is found as scipy's find_interval does, the last one closed on the right,
-    and the local polynomial is summed from its constant term up, as in
-    scipy's evaluate_poly1, so it gives the bits PPoly.__call__ gives."""
-    tab = _table(V)
-    knots, coeffs = tab.knots, tab.coeffs
-    first, last, last_piece = knots[0], knots[-1], len(knots) - 2
-    g, ln_k, four_pi = V.g, math.log(k), 4.0 * math.pi
+def _piece_integrand(x0: float, poly: tuple, g: float, C: float, k: float, s: float, dim: int):
+    """_weight(dim, r) * _scaled_power(max(0, C - g pp(r)), k, s) on the table
+    piece with left knot x0 and coefficients poly (k > 0), summed from the constant
+    term up as scipy's evaluate_poly1 does: the bits PPoly gives in the piece."""
+    ln_k, four_pi = math.log(k), 4.0 * math.pi
 
     def f(r: float) -> float:
-        if not first <= r <= last:
-            return 0.0
-        i = min(bisect.bisect_right(knots, r) - 1, last_piece)
-        t = r - knots[i]
+        t = r - x0
         total, z = 0.0, 1.0
-        for c in coeffs[i]:
+        for c in poly:
             total += c * z
             z *= t
         base = C - g * total
@@ -448,7 +440,6 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     # monotonically in v, in floating point too
     knot_sup = max(0.0, C - V.g * tab.knot_min)
     k = knot_sup if knot_sup > 0.0 else 1.0
-    f = _table_integrand(V, C, k, s, dim)
 
     crossings = [
         float(c)
@@ -460,7 +451,10 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     total = 0.0
     n_pieces = max(1, len(points) - 1)
     for a, b, v in zip(points, points[1:], mids):
+        # a nan midpoint, outside the knots, fails the test and is skipped
         if C - V.g * v > 0.0:
+            i = bisect.bisect_right(tab.knots, a) - 1
+            f = _piece_integrand(tab.knots[i], tab.coeffs[i], V.g, C, k, s, dim)
             total += _quad(f, a, b, spec, spec.abs_tol / (4.0 * n_pieces))
     total += _table_head(V, C, k, s, dim, spec)
     if total == 0.0:
@@ -488,7 +482,10 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     if C <= min_value(V):
         return 0.0, 0.0
     if V.kind is PotentialKind.EXPONENTIAL:
-        return 0.0, -R * math.log(-C * R / g)
+        x = -C * R / g
+        if x < sys.float_info.min:  # a subnormal x keeps only a few digits
+            return 0.0, -R * (math.log(-C) + math.log(R) - math.log(g))
+        return 0.0, -R * math.log(x)
     if V.kind is PotentialKind.SINGULAR:
         # g/R (r/R)^(-1/2) e^(-r/R) = -C.  (g/(CR))^2 as float quotients and
         # products, which overflow to inf (b = inf, as at C = 0) where **

@@ -30,6 +30,7 @@ eigenpair of a matrix-free spectral operator by restarted Lanczos
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +83,10 @@ class SolverConfig:
         _check_mass_alpha(self.m, self.alpha)
         if self.dimension not in (1, 3):
             raise DomainError(f"dimension must be 1 or 3, got {self.dimension!r}")
+        try:
+            object.__setattr__(self, "N", operator.index(self.N))
+        except TypeError:
+            raise DomainError(f"grid count must be an integer, got {self.N!r}") from None
         if self.N < 16:
             raise DomainError("grid count must be at least 16")
         if self.N > _MAX_GRID // 2:

@@ -430,6 +430,20 @@ def test_extreme_cutoffs_give_a_value():
                 assert got == pytest.approx(want, rel=1e-12), (V.kind, C, s, dim)
 
 
+@pytest.mark.parametrize("g, R", [(2.0, 1.0), (1.0, 0.5), (3.0, 0.7), (1.0, 1.0)])
+def test_exp_support_at_subnormal_cutoff_ratios(g, R):
+    # -C R / g below the least normal float keeps few digits, or rounds to 0
+    mpmath = pytest.importorskip("mpmath")
+    V = pot.exponential(g, R)
+    for C in (-5e-324, -1e-315, -1e-310, -1e-300):
+        b = pot._shifted_support(V, C)[1]
+        want = float(-R * mpmath.log(-mpmath.mpf(C) * R / g))
+        assert b == pytest.approx(want, rel=1e-14, abs=0.0), C
+        for s, dim in ((2.0, 3), (5.5, 3), (1.5, 1), (1.9, 1)):
+            assert pot.truncated_negative_norm(V, C, s, dim) == pytest.approx(
+                pot.negative_part_norm(V, s, dim), rel=1e-12), (C, s, dim)
+
+
 def test_length_scale():
     assert pot.length_scale(pot.exponential(1.0, 3.0)) == 3.0
     T = pot.tabulated([0.0, 10.0], [0.0, 0.0])
@@ -469,22 +483,22 @@ def _reference_singular_head_integrand(u, base, k, s, dim):
 
 @pytest.mark.parametrize("dim", [3, 1])
 def test_fused_table_integrand_matches_generic_composition(dim):
-    # the reference evaluates the interpolant with PPoly itself (nan outside
-    # the knots), at random nodes, every knot and both neighbours of each
+    # each piece's kernel against PPoly itself, at random nodes inside the
+    # piece and at the floats next to both of its ends, pointing inward
     V = _benchmark_like_table(g=1.3)
-    pp = pot._table(V).pp
-    knots = [r for r, _ in V.table]
+    tab = pot._table(V)
     rng = np.random.default_rng(11 + dim)
     cases = [(-12.0, 3.0, 1.0), (-4.0, 7.5, 3.0), (-0.5, 140.0, 11.0), (-6.0, 300.0, 1e-3)]
     for C, s, k in cases:  # the last two reach the exp clamps at both ends
-        f = pot._table_integrand(V, C, k, s, dim)
-        nodes = rng.uniform(0.0, 12.0, 2000).tolist() + [0.0, 12.0, 12.5] + knots
-        nodes += [math.nextafter(r, d) for r in knots for d in (-math.inf, math.inf)]
-        for r in nodes:
-            generic = pot._weight(dim, r) * pot._scaled_power(
-                max(0.0, C - V.g * float(pp(r))), k, s)
-            # 0 * inf at r = 0 is nan on both paths
-            assert _same_float(f(r), generic), (C, s, k, r)
+        for x0, x1, poly in zip(tab.knots, tab.knots[1:], tab.coeffs):
+            f = pot._piece_integrand(x0, poly, V.g, C, k, s, dim)
+            nodes = rng.uniform(x0, x1, 40).tolist()
+            nodes += [math.nextafter(x0, x1), math.nextafter(x1, x0)]
+            for r in nodes:
+                generic = pot._weight(dim, r) * pot._scaled_power(
+                    max(0.0, C - V.g * float(tab.pp(r))), k, s)
+                # 0 * inf at r = 5e-324 (r * r = 0) is nan on both paths
+                assert _same_float(f(r), generic), (C, s, k, r)
 
 
 @pytest.mark.parametrize("dim", [3, 1])

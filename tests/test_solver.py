@@ -30,7 +30,8 @@ def dense_hamiltonian_3d(V, m, alpha, L, N):
     """Reference s-wave Hamiltonian on r_j = j L / N as a dense matrix
     S diag(eps) S + diag(V) in the orthonormal DST-I basis."""
     j = np.arange(1, N)
-    eps = sv.kinetic_diagonal(sv.sine_momenta(L, N), m, alpha)
+    p = j * (math.pi / L)
+    eps = alpha * np.sqrt(p * p + m * m)
     S = math.sqrt(2.0 / N) * np.sin((math.pi / N) * np.outer(j, j))
     H = (S * eps) @ S
     H[np.diag_indices_from(H)] += pot.evaluate(V, j * (L / N))
@@ -41,7 +42,9 @@ def dense_hamiltonian_1d(V, m, alpha, L, N):
     """Reference periodic Hamiltonian on x_j = -L/2 + (j + 1/2) L / N as a
     dense circulant kinetic matrix plus diag(V(|x|))."""
     x = -0.5 * L + (np.arange(N) + 0.5) * (L / N)
-    eps = sv.kinetic_diagonal(2.0 * math.pi * np.fft.fftfreq(N, d=L / N), m, alpha)
+    # momenta 2 pi k / L in FFT order: k = 0, 1, ..., then the negative k
+    p = (2.0 * math.pi / L) * np.r_[0:(N + 1) // 2, -(N // 2):0]
+    eps = alpha * np.sqrt(p * p + m * m)
     c = np.fft.ifft(eps).real
     H = c[(np.arange(N)[:, None] - np.arange(N)[None, :]) % N]
     H[np.diag_indices_from(H)] += pot.evaluate(V, np.abs(x))
@@ -182,6 +185,18 @@ def test_doubled_box_failure_raises(monkeypatch):
     cfg = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=64)
     with pytest.raises(ConvergenceError, match=r"L = 40.*L = 20.*amplitude 1\b"):
         sv.ground_state_3d_swave(ZERO, cfg)
+
+
+def test_grid_count_must_be_an_integer():
+    # a fractional count spaced the points L / 128.5 on a 128-point grid
+    for N in (128.5, 128.0):
+        with pytest.raises(DomainError, match="integer"):
+            sv.SolverConfig(N=N)
+    E = pot.exponential(3.0, 1.0)
+    want = sv.ground_state_3d_swave(E, sv.SolverConfig(N=128))
+    got = sv.ground_state_3d_swave(E, sv.SolverConfig(N=np.int64(128)))
+    assert got.mass.hex() == want.mass.hex()
+    assert type(got.grid_count) is int and got.grid_count == want.grid_count
 
 
 def test_config_validation():
