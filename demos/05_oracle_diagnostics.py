@@ -10,6 +10,7 @@ trapped well inside the box.
 import math
 
 import numpy as np
+from scipy.fft import dst
 
 from salpeter_bounds import potentials, solver
 
@@ -45,14 +46,19 @@ print(f"  boundary amplitude   : {res.boundary_amplitude:.2e} of the peak")
 print(f"  norm on the grid     : {np.sum(res.wavefunction**2) * dr:.12f}")
 print()
 
-# variational check: the ground state lies below every Rayleigh quotient
+# variational check: the ground state lies below every Rayleigh quotient of
+# H = K + diag(V), with the kinetic product K = S diag(eps) S written out:
+# S is the orthonormal type-I sine transform, and
+# eps_k = alpha sqrt(p_k^2 + m^2) at the momenta p_k = k pi / L
 M0, r, _ = solver.solve_once_3d(V, 1.0, 2.0, 20.0, 128)
+eps = 2.0 * np.sqrt((np.arange(1, 128) * (math.pi / 20.0)) ** 2 + 1.0)
 rng = np.random.default_rng(0)
 quotients = []
 for _ in range(5):
     v = rng.standard_normal(127)
     v /= np.linalg.norm(v)
-    Hv = solver.apply_kinetic_3d(v, 20.0, 1.0, 2.0) + potentials.evaluate(V, r) * v
+    Kv = dst(eps * dst(v, type=1, norm="ortho"), type=1, norm="ortho")
+    Hv = Kv + potentials.evaluate(V, r) * v
     quotients.append(float(v @ Hv))
 print(f"ground state {M0:.6f} below all 5 random Rayleigh quotients: "
       f"min quotient = {min(quotients):.6f}")

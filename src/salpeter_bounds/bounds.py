@@ -207,8 +207,6 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
 
     lo = float(grid[i - 1]) if i > 0 else float(grid[i])
     hi = float(grid[i + 1]) if i + 1 < len(grid) else float(grid[i])
-    if hi <= lo:
-        return q_best, t_best
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -482,10 +482,10 @@ def _shifted_support(V: PotentialModel, C: float) -> tuple[float, float]:
     if C <= min_value(V):
         return 0.0, 0.0
     if V.kind is PotentialKind.EXPONENTIAL:
-        x = -C * R / g
-        if x < sys.float_info.min:  # a subnormal x keeps only a few digits
+        x = -C * R
+        if min(x, x / g) < sys.float_info.min:  # a subnormal keeps only a few digits
             return 0.0, -R * (math.log(-C) + math.log(R) - math.log(g))
-        return 0.0, -R * math.log(x)
+        return 0.0, -R * math.log(x / g)
     if V.kind is PotentialKind.SINGULAR:
         # g/R (r/R)^(-1/2) e^(-r/R) = -C.  (g/(CR))^2 as float quotients and
         # products, which overflow to inf (b = inf, as at C = 0) where **

@@ -45,9 +45,6 @@ __all__ = [
     "SolverConfig",
     "SpectrumResult",
     "CriticalCouplingResult",
-    "sine_momenta",
-    "kinetic_diagonal",
-    "apply_kinetic_3d",
     "solve_once_3d",
     "solve_once_1d",
     "ground_state_3d_swave",
@@ -127,32 +124,16 @@ class CriticalCouplingResult:
     box_size: float
 
 
-def sine_momenta(L: float, N: int) -> np.ndarray:
-    """Momenta p_k = k pi / L, k = 1..N-1, of the Dirichlet sine basis."""
-    return np.arange(1, N) * (math.pi / L)
-
-
-def kinetic_diagonal(p: np.ndarray, m: float, alpha: float) -> np.ndarray:
-    """Relativistic kinetic energies alpha * sqrt(p^2 + m^2)."""
-    return alpha * np.sqrt(p * p + m * m)
-
-
-def apply_kinetic_3d(u: np.ndarray, L: float, m: float, alpha: float) -> np.ndarray:
-    """Kinetic operator acting on reduced radial samples via the sine basis."""
-    _, eps, apply = _discretization(L, len(u) + 1, 3, m, alpha)
-    return apply(u, eps)
-
-
 def _discretization(L: float, N: int, dim: int, m: float, alpha: float):
     """(grid, eps, apply) of the N-point discretization: the sample points,
-    the kinetic energies of the basis modes, and ``apply(x, d)``, which
-    multiplies x by the diagonal d in that basis.  3D: r_j = j L / N,
-    j = 1..N-1, and DST-I sine modes.  1D: x_j = -L/2 + (j + 1/2) L / N,
-    j = 0..N-1, and FFT plane waves; the half-step offset keeps the
-    (possibly singular) origin off the grid."""
+    the kinetic energies alpha sqrt(p^2 + m^2) of the basis modes, and
+    ``apply(x, d)``, which multiplies x by the diagonal d in that basis.
+    3D: r_j = j L / N, j = 1..N-1, and DST-I sine modes at p_k = k pi / L.
+    1D: x_j = -L/2 + (j + 1/2) L / N, j = 0..N-1, and FFT plane waves; the
+    half-step offset keeps the (possibly singular) origin off the grid."""
     if dim == 3:
         grid = np.arange(1, N) * (L / N)
-        p = sine_momenta(L, N)
+        p = np.arange(1, N) * (math.pi / L)
 
         def apply(x, d):
             return dst(d * dst(x, type=1, norm="ortho"), type=1, norm="ortho")
@@ -163,16 +144,20 @@ def _discretization(L: float, N: int, dim: int, m: float, alpha: float):
         def apply(x, d):
             return np.fft.ifft(d * np.fft.fft(x)).real
 
-    return grid, kinetic_diagonal(p, m, alpha), apply
+    return grid, alpha * np.sqrt(p * p + m * m), apply
 
 
-def _extreme_eigenpair(matvec, n: int, which: str):
-    """Eigenpair of the symmetric n x n operator ``matvec`` with the lowest
-    (``which="SA"``) or highest (``"LA"``) eigenvalue, by restarted Lanczos
-    from a flat vector; returns (eigenvalue, unit eigenvector)."""
+def _extreme_eigenpair(matvec, n: int, which: str, N: int):
+    """Lowest (``which="SA"``) or highest (``"LA"``) eigenpair, as (eigenvalue,
+    unit eigenvector), of the symmetric n x n operator ``matvec`` of the
+    N-point grid, by restarted Lanczos from a flat vector; an ARPACK failure
+    raises ``ConvergenceError``."""
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.full(n, 1.0 / math.sqrt(n))
-    w, v = scipy.sparse.linalg.eigsh(op, k=1, which=which, v0=v0, maxiter=50000)
+    try:
+        w, v = scipy.sparse.linalg.eigsh(op, k=1, which=which, v0=v0, maxiter=50000)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ConvergenceError(f"eigensolver failed at N = {N}: {exc}") from None
     return float(w[0]), v[:, 0]
 
 
@@ -181,7 +166,7 @@ def _lowest_state(V: PotentialModel, m: float, alpha: float, L: float, N: int, d
     (M, grid, u) with sum u^2 L/N = 1 and a positive peak."""
     grid, eps, apply = _discretization(L, N, dim, m, alpha)
     Vx = evaluate(V, np.abs(grid))
-    M, u = _extreme_eigenpair(lambda x: apply(x, eps) + Vx * x, len(grid), "SA")
+    M, u = _extreme_eigenpair(lambda x: apply(x, eps) + Vx * x, len(grid), "SA", N)
     u = u / math.sqrt(np.sum(u * u) * (L / N))
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
@@ -204,8 +189,6 @@ def _default_box(V: PotentialModel, m: float) -> float:
 
 def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
     peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
-        return 0.0
     if dim == 3:
         return float(np.abs(u[-1])) / peak
     return float(max(np.abs(u[0]), np.abs(u[-1]))) / peak
@@ -222,34 +205,22 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
     for _ in range(_MAX_BOX_DOUBLINGS + 1):
         N = n_start
         M, grid, u = solve(V, m, alpha, L, N)
-        converged = False
-        delta = math.inf
-        while 2 * N <= _MAX_GRID:
+        delta = math.nan  # never converged, so one doubling always runs
+        while not delta <= cfg.eigen_tol * max(abs(M), scale):
+            if 2 * N > _MAX_GRID:
+                doubled = "" if best is None else (
+                    f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
+                    f"left boundary amplitude {best.boundary_amplitude:.3g}")
+                raise ConvergenceError(
+                    f"ground state not converged to {cfg.eigen_tol:g} at N = {N}{doubled}")
             M2, grid2, u2 = solve(V, m, alpha, L, 2 * N)
             delta = abs(M - M2)
             M, grid, u, N = M2, grid2, u2, 2 * N
-            if delta <= cfg.eigen_tol * max(abs(M2), scale):
-                converged = True
-                break
-        if not converged:
-            doubled = "" if best is None else (
-                f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
-                f"left boundary amplitude {best.boundary_amplitude:.3g}")
-            raise ConvergenceError(
-                f"ground state not converged to {cfg.eigen_tol:g} at N = {N}{doubled}")
         tail = _boundary_amplitude(u, dim)
         best = SpectrumResult(
-            mass=M,
-            binding_energy=M - alpha * m,
-            grid=grid,
-            wavefunction=u,
-            refinement_delta=delta,
-            refinement_delta_rel=delta / max(abs(M), scale),
-            grid_count=N,
-            box_size=L,
-            converged=True,
-            boundary_amplitude=tail,
-        )
+            mass=M, binding_energy=M - alpha * m, grid=grid, wavefunction=u,
+            refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
+            grid_count=N, box_size=L, converged=True, boundary_amplitude=tail)
         # only a genuinely bound state can have an untrapped tail; free-like
         # states legitimately fill the box.  Stop when a doubled box could not
         # reach the current spacing within the grid budget.
@@ -316,7 +287,7 @@ def critical_coupling_exact(
             raise DomainError(
                 f"potential has no attractive part on the N = {N} grid: no coupling binds")
         k = eps ** -0.5
-        lam, _ = _extreme_eigenpair(lambda x: apply(w * apply(x, k), k), len(grid), "LA")
+        lam, _ = _extreme_eigenpair(lambda x: apply(w * apply(x, k), k), len(grid), "LA", N)
         return 1.0 / lam
 
     levels = [(cfg.N, coupling(cfg.N))]

@@ -215,12 +215,10 @@ def bessel_k1(x: float) -> float:
 
 
 def _xk1(x: float) -> float:
-    # x * K1(x), evaluated without cancellation down to x = 0 (limit 1):
+    # x * K1(x), 0 <= x <= 2, without cancellation down to x = 0 (limit 1):
     # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x), the series of _k1_small.
     if x <= 0.0:
         return 1.0
-    if x > 2.0:
-        return x * bessel_k1(x)
     i1, s = _k1_series(x, 1.0)
     return 1.0 + x * math.log(0.5 * x) * i1 - 0.25 * x * x * s
 
@@ -379,6 +377,8 @@ def _check_mass_alpha(m: float, alpha: float) -> None:
         raise DomainError(f"mass must be positive and finite, got {m!r}")
     if alpha not in (1, 2, 1.0, 2.0):
         raise DomainError(f"alpha must be 1 or 2, got {alpha!r}")
+    if not alpha * m < math.inf:
+        raise DomainError(f"alpha * m must be finite, got {alpha!r} * {m!r}")
 
 
 def green_constant_3d(q: float, spec: QuadratureSpec | None = None) -> float:

@@ -36,6 +36,9 @@ def test_package_all_is_the_module_lists_in_order():
     ("PotentialModel", "interp"),
     ("CriticalCouplingResult", "tolerance"),
     ("errors", "BracketError"),
+    ("solver", "sine_momenta"),
+    ("solver", "kinetic_diagonal"),
+    ("solver", "apply_kinetic_3d"),
 ])
 def test_deleted_names_stay_gone(owner, attr):
     assert not hasattr(getattr(salpeter_bounds, owner), attr)

@@ -242,6 +242,23 @@ def test_confining_bound_1d_extension():
     assert 1.0 <= res.q_star <= 2.0
 
 
+def test_confining_bound_without_admissible_cutoff_is_vacuous():
+    # every 1D exponent has q/(q-1) >= 2, and the square of the r^(-1/2)
+    # core is not integrable at the origin, so no exponent has a finite norm
+    res = bd.confining_bound(pot.singular(1.0, 1.0), 1.0, 2, dim=1)
+    assert res.vacuous and math.isnan(res.q_star)
+    assert res.c_star == res.mass_bound == -math.inf
+    assert res.residual == math.inf
+
+
+def test_alpha_times_mass_must_be_finite():
+    E = pot.exponential(1.0, 1.0)
+    with pytest.raises(DomainError, match="alpha \\* m must be finite"):
+        bd.optimize_mass_bound_3d(E, 1e308, 2)
+    rep = bd.optimize_mass_bound_3d(E, 1e308, 1)
+    assert math.isfinite(rep.mass_bound)
+
+
 def test_confining_dimension_validation():
     with pytest.raises(DomainError):
         bd.confining_bound(pot.logarithmic(1.0, 1.0), 1.0, 2, dim=2)

@@ -151,6 +151,23 @@ def test_unreadable_table_is_a_one_line_error(tmp_path, capsys, content):
     assert err.count("\n") == 1
 
 
+def test_arpack_failure_is_a_one_line_error(capsys):
+    # at m = 1e-300 the default box is 2e301 wide and ARPACK's start is zero
+    code, out, err = run_cli(["solve", "--potential", "exp", "--g", "3", "--m", "1e-300"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: eigensolver failed at N = 256: ARPACK error -9")
+    assert err.count("\n") == 1
+
+
+def test_vacuous_confining_bound_is_an_error(tmp_path, capsys):
+    out = tmp_path / "confining.csv"
+    code, _, err = run_cli(["confining", "--potential", "sing", "--dim", "1",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "error: bound vacuous: no admissible cutoff at any exponent\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["bound3d", "confining", "solve"])
 def test_single_shot_command_reads_its_table_once(tmp_path, monkeypatch, command):
     rr = np.linspace(0.0, 20.0, 41)
@@ -549,6 +566,9 @@ def test_grid_count_with_no_room_to_refine_fails_at_once(capsys):
     (["fig2", "--N", "8"], "grid count must be at least 16"),
     (["fig2", "--g-list", "-1"], "list '-1' must be nonempty, finite, positive and strictly "
      "increasing"),
+    (["bound3d", "--m", "1e308"], "alpha * m must be finite, got 2.0 * 1e+308"),
+    (["critical", "--method", "bound", "--m", "1e308"],
+     "alpha * m must be finite, got 2.0 * 1e+308"),
 ])
 def test_out_of_range_option_values_exit_2(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -430,12 +430,14 @@ def test_extreme_cutoffs_give_a_value():
                 assert got == pytest.approx(want, rel=1e-12), (V.kind, C, s, dim)
 
 
-@pytest.mark.parametrize("g, R", [(2.0, 1.0), (1.0, 0.5), (3.0, 0.7), (1.0, 1.0)])
+@pytest.mark.parametrize("g, R", [(2.0, 1.0), (1.0, 0.5), (3.0, 0.7), (1.0, 1.0),
+                                  (1e-12, 0.7)])
 def test_exp_support_at_subnormal_cutoff_ratios(g, R):
-    # -C R / g below the least normal float keeps few digits, or rounds to 0
+    # -C R or -C R / g below the least normal float keeps few digits, or
+    # rounds to 0; with g < 1 the product can be subnormal and the ratio not
     mpmath = pytest.importorskip("mpmath")
     V = pot.exponential(g, R)
-    for C in (-5e-324, -1e-315, -1e-310, -1e-300):
+    for C in (-5e-324, -1e-318, -1e-315, -1e-310, -1e-300):
         b = pot._shifted_support(V, C)[1]
         want = float(-R * mpmath.log(-mpmath.mpf(C) * R / g))
         assert b == pytest.approx(want, rel=1e-14, abs=0.0), C

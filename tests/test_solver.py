@@ -67,10 +67,11 @@ def test_free_spectrum_1d():
 
 def test_kinetic_operator_on_sine_modes():
     L, N, m, alpha = 17.0, 128, 0.7, 2.0
+    _, kinetic, apply = sv._discretization(L, N, 3, m, alpha)
     j = np.arange(1, N)
     for k in (1, 5, 31):
         mode = np.sin(math.pi * k * j / N)
-        out = sv.apply_kinetic_3d(mode, L, m, alpha)
+        out = apply(mode, kinetic)
         eps = alpha * math.sqrt((k * math.pi / L) ** 2 + m * m)
         assert np.max(np.abs(out - eps * mode)) < 1e-12 * eps
 
@@ -199,11 +200,25 @@ def test_grid_count_must_be_an_integer():
     assert type(got.grid_count) is int and got.grid_count == want.grid_count
 
 
+def test_arpack_failure_is_a_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    E = pot.exponential(3.0, 1.0)
+    with pytest.raises(ConvergenceError, match="eigensolver failed at N = 64"):
+        sv.solve_once_3d(E, 1.0, 2.0, 20.0, 64)
+    with pytest.raises(ConvergenceError, match="eigensolver failed at N = 64"):
+        sv.critical_coupling_exact(E, cfg=sv.SolverConfig(N=64))
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         sv.SolverConfig(m=-1.0)
     with pytest.raises(DomainError):
         sv.SolverConfig(alpha=3)
+    with pytest.raises(DomainError, match="alpha \\* m must be finite"):
+        sv.SolverConfig(m=1e308, alpha=2)
     with pytest.raises(DomainError):
         sv.SolverConfig(dimension=2)
     with pytest.raises(DomainError):
