@@ -71,8 +71,8 @@ __all__ = [
     "optimize_mass_bound_1d",
 ]
 
-_Q_HI_3D = 1.5
-_Q_HI_1D = 2.0
+# admissible q per dimension: upper end, whether it is included, as printed
+_Q_WINDOW = {3: (1.5, False, "[1, 3/2)"), 1: (2.0, True, "[1, 2]")}
 _Q_POINTS = 64  # grid points over the admissible q window before refinement
 
 
@@ -115,10 +115,8 @@ def _conjugate(q: float) -> float:
 
 
 def _check_q(q: float, dim: int) -> None:
-    hi = _Q_HI_3D if dim == 3 else _Q_HI_1D
-    ok = (1.0 <= q < hi) if dim == 3 else (1.0 <= q <= hi)
-    if math.isnan(q) or not ok:
-        bracket = "[1, 3/2)" if dim == 3 else "[1, 2]"
+    hi, closed, bracket = _Q_WINDOW[dim]
+    if not (1.0 <= q < hi or closed and q == hi):
         raise DomainError(f"exponent q = {q!r} outside the admissible {bracket}")
 
 
@@ -142,14 +140,8 @@ def _norm_term(
         return 0.0
     if q == 1.0:
         return norm  # all constants and the mass power reduce to 1
-    if dim == 3:
-        return (
-            combined_constant(q) ** 3
-            * green_constant_3d(q, spec)
-            * m ** (3.0 - 3.0 / q)
-            * norm
-        )
-    return combined_constant(q) * green_constant_1d(q, spec) * m ** (1.0 - 1.0 / q) * norm
+    green = green_constant_3d if dim == 3 else green_constant_1d
+    return combined_constant(q) ** dim * green(q, spec) * m ** (dim - dim / q) * norm
 
 
 def mass_bound_3d(
@@ -194,7 +186,7 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
         except (DivergentNormError, DomainError):
             return math.inf
 
-    hi, endpoint = (_Q_HI_3D, False) if dim == 3 else (_Q_HI_1D, True)
+    hi, endpoint, _ = _Q_WINDOW[dim]
     grid = np.linspace(1.0, hi, _Q_POINTS, endpoint=endpoint)
     values = np.asarray([safe(float(q)) for q in grid])
     if not np.any(np.isfinite(values)):
@@ -231,6 +223,7 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
 
 
 def _optimize(V, m, alpha, dim, spec) -> BoundReport:
+    _check_mass_alpha(m, alpha)
     spec = spec or DEFAULT_QUADRATURE
 
     def term(q):
@@ -266,7 +259,6 @@ def optimize_mass_bound_3d(
     spec: QuadratureSpec | None = None,
 ) -> BoundReport:
     """Best 3D mass bound over the admissible exponent window."""
-    _check_mass_alpha(m, alpha)
     return _optimize(V, m, alpha, 3, spec)
 
 
@@ -277,7 +269,6 @@ def optimize_mass_bound_1d(
     spec: QuadratureSpec | None = None,
 ) -> BoundReport:
     """Best 1D mass bound over the admissible exponent window."""
-    _check_mass_alpha(m, alpha)
     return _optimize(V, m, alpha, 1, spec)
 
 
@@ -327,7 +318,9 @@ def cutoff_for_exponent(
 
     Returns (C, |lhs-1| residual, at_cap).  lhs is strictly increasing in C,
     zero for C below min(V), so the root is unique when it exists.  C = -inf
-    signals a vacuous result at this q.
+    signals a vacuous result at this q.  At q = 1, lhs = (C - min V)/(alpha m)
+    is linear; for V unbounded below it is infinite, and q = 1 raises
+    DivergentNormError there, as mass_bound_3d does.
     """
     spec = spec or DEFAULT_QUADRATURE
     # brentq evaluates the bracket ends again and the residual reads the root
@@ -343,15 +336,6 @@ def cutoff_for_exponent(
     # finite (0) for the decaying kinds
     cap = _tail_limit(V)
     vmin = min_value(V)
-
-    if q == 1.0:
-        # closed form: lhs = (C - min V)/(alpha m)
-        if not math.isfinite(vmin):
-            return -math.inf, math.inf, False
-        root = vmin + alpha * m
-        if root > cap:
-            return cap, abs(lhs(cap) - 1.0), True
-        return root, 0.0, False
 
     scale = max(abs(vmin) if math.isfinite(vmin) else 0.0, alpha * m, 1.0)
     if math.isfinite(vmin):
@@ -425,17 +409,10 @@ def confining_bound(
 
     try:
         q_star, _ = _minimize_term(neg_c_star, dim)
-        c_star, residual, at_cap = solved[q_star]
     except PotentialClassError:
-        q_star, c_star = math.nan, -math.inf
-    if not math.isfinite(c_star):
-        return TruncationResult(
-            q_star=q_star,
-            c_star=-math.inf,
-            mass_bound=-math.inf,
-            residual=math.inf,
-            vacuous=True,
-        )
+        return TruncationResult(q_star=math.nan, c_star=-math.inf, mass_bound=-math.inf,
+                                residual=math.inf, vacuous=True)
+    c_star, residual, at_cap = solved[q_star]
     return TruncationResult(
         q_star=q_star,
         c_star=c_star,

@@ -457,8 +457,6 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
             f = _piece_integrand(tab.knots[i], tab.coeffs[i], V.g, C, k, s, dim)
             total += _quad(f, a, b, spec, spec.abs_tol / (4.0 * n_pieces))
     total += _table_head(V, C, k, s, dim, spec)
-    if total == 0.0:
-        return 0.0
     return k * total ** (1.0 / s)
 
 
@@ -542,8 +540,6 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
         total += _tail(f, V.R, spec, spec.abs_tol)
     else:
         total = _quad(f, a, b, spec, spec.abs_tol / 2.0)
-    if total == 0.0:
-        return 0.0
     return k * total ** (1.0 / s)
 
 

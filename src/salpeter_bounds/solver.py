@@ -144,6 +144,10 @@ def _discretization(L: float, N: int, dim: int, m: float, alpha: float):
         def apply(x, d):
             return np.fft.ifft(d * np.fft.fft(x)).real
 
+    p_max = float(np.max(np.abs(p)))
+    if not p_max * p_max + m * m < math.inf:
+        raise DomainError(f"kinetic energies p^2 + m^2 overflow at N = {N}, "
+                          f"L = {L!r}, m = {m!r}")
     return grid, alpha * np.sqrt(p * p + m * m), apply
 
 

@@ -310,8 +310,6 @@ def _k1_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
     kappa = 2.0 / (3.0 - 2.0 * q)
 
     def head(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
         x = u**kappa
         return kappa * u * _xk1(x) ** q
 

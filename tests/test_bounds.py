@@ -196,6 +196,22 @@ def test_cutoff_q1_capped_when_above_tail():
     assert c == 0.0 and at_cap
 
 
+@pytest.mark.parametrize("V, want", [
+    (pot.singular(1.0, 1.0),
+     ("0x1.3400000000000p+0", "0x0.0p+0", "0x1.7208465026f7cp-2", True)),
+    (pot.logarithmic(0.5, 2.5),
+     ("0x1.087e9e6eb5d19p+0", "0x1.06f75dc0e9962p+1", "0x1.0000000000000p-52", False)),
+])
+def test_q1_cutoff_of_a_potential_unbounded_below_diverges(V, want):
+    # the q = 1 norm is the sup norm C - min V, infinite here; the confining
+    # bound skips that exponent
+    with pytest.raises(DivergentNormError, match="sup norm is infinite"):
+        bd.cutoff_for_exponent(V, 1.0, 2.0, 1.0)
+    res = bd.confining_bound(V, 1.0, 2.0)
+    assert (res.q_star.hex(), res.c_star.hex(), res.residual.hex(), res.at_cap) == want
+    assert res.mass_bound == res.c_star and not res.vacuous
+
+
 def test_cutoff_monotone_lhs_root():
     L = pot.logarithmic(0.5, 2.5)
     c, residual, at_cap = bd.cutoff_for_exponent(L, 1.0, 2, 1.2)

@@ -159,6 +159,27 @@ def test_arpack_failure_is_a_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_kinetic_energies_are_a_one_line_error(capfd):
+    # LAPACK writes to file descriptor 2, so capfd, not capsys, sees its lines
+    code = cli.main(["solve", "--potential", "exp", "--g", "3", "--m", "1e300"])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: kinetic energies p^2 + m^2 overflow at N = 256, L = 20.0, "
+                   "m = 1e+300\n")
+
+
+def test_bound3d_writes_the_csv_to_stdout(tmp_path, capsys):
+    argv = ["bound3d", "--potential", "exp", "--g", "1", "--R", "1", "--m", "1", "--alpha", "2"]
+    path = tmp_path / "bound3d.csv"
+    assert run_cli(argv + ["--out", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(argv + ["--out", "-"], capsys)
+    assert code == 0 and err == ""
+    csv = out[out.index("# salpeter-bounds CSV schema: bound3d/"):]
+    assert csv == path.read_text()
+    lines = [line for line in csv.splitlines() if not line.startswith("#")]
+    assert lines[0].startswith("q_opt,") and len(lines) == 2
+
+
 def test_vacuous_confining_bound_is_an_error(tmp_path, capsys):
     out = tmp_path / "confining.csv"
     code, _, err = run_cli(["confining", "--potential", "sing", "--dim", "1",
@@ -227,6 +248,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     ("method = exactt", "invalid value 'exactt' for 'method' (expected bound | exact | both)"),
     ("N = 12.5", "invalid value '12.5' for 'N' (expected int)"),
     ("alpha = 3", "invalid value '3' for 'alpha' (expected 1 | 2)"),
+    ("g 3", "expected 'key = value'"),
 ])
 def test_config_file_rejects_bad_value(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -529,6 +551,7 @@ def test_bad_workers_value_exits_2_from_every_source(source, tmp_path, monkeypat
     (["fig1", "--beta-grid", "1:inf:3"], "grid '1:inf:3' must be finite, positive, "
      "increasing, n >= 1"),
     (["fig1", "--potentials", ","], "fig1 potentials must name at least one of exp,pexp,sing"),
+    (["fig1", "--potentials", "exp,log"], "fig1 potentials must be from exp,pexp,sing; got 'log'"),
 ])
 def test_sweep_inputs_that_give_no_valid_rows_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -212,6 +212,15 @@ def test_arpack_failure_is_a_convergence_error(monkeypatch):
         sv.critical_coupling_exact(E, cfg=sv.SolverConfig(N=64))
 
 
+def test_overflowing_kinetic_energies_are_a_domain_error():
+    # alpha m is finite, but p^2 + m^2 is not: m^2 overflows above about 1.3e154
+    E = pot.exponential(3.0, 1.0)
+    with pytest.raises(DomainError, match="overflow at N = 64, L = 20.0, m = 1e"):
+        sv.solve_once_3d(E, 1e300, 2.0, 20.0, 64)
+    with pytest.raises(DomainError, match="overflow at N = 64"):
+        sv.critical_coupling_exact(E, cfg=sv.SolverConfig(m=1e300, N=64))
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         sv.SolverConfig(m=-1.0)
