@@ -71,7 +71,7 @@ __all__ = [
     "optimize_mass_bound_1d",
 ]
 
-# admissible q per dimension: upper end, whether it is included, as printed
+# admissible q per dimension: (upper end, upper end included, interval text)
 _Q_WINDOW = {3: (1.5, False, "[1, 3/2)"), 1: (2.0, True, "[1, 2]")}
 _Q_POINTS = 64  # grid points over the admissible q window before refinement
 
