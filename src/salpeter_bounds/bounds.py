@@ -291,19 +291,13 @@ def critical_coupling_bound_3d(
     """Lower limit on the critical coupling at which the ground-state mass
     vanishes, for the potential family g * (V / V.g).
 
-    Returns math.inf when the shape has no attractive part.
+    The norm term is linear in the coupling, so the optimized bound of g * v
+    is alpha m - g t with t = -E, E the optimized binding-energy bound of the
+    unit-coupling shape v; it vanishes at g = alpha m / t.  Returns math.inf
+    when the shape has no attractive part (t = 0).
     """
-    _check_mass_alpha(m, alpha)
-    spec = spec or DEFAULT_QUADRATURE
-    shape = with_coupling(V, 1.0)
-
-    def term(q):
-        return _norm_term(shape, 0.0, m, q, 3, spec)
-
-    _, t_opt = _minimize_term(term, 3)
-    if t_opt == 0.0:
-        return math.inf
-    return alpha * m / t_opt
+    t = -optimize_mass_bound_3d(with_coupling(V, 1.0), m, alpha, spec).energy_bound
+    return alpha * m / t if t > 0.0 else math.inf
 
 
 def cutoff_for_exponent(
@@ -366,7 +360,7 @@ def cutoff_for_exponent(
         for _ in range(200):
             if lhs(top) > 1.0:
                 break
-            top = 2.0 * top if top > 0 else top / 2.0 + scale
+            top *= 2.0
         else:
             raise ConvergenceError("could not bracket the cutoff equation from above")
 

@@ -24,11 +24,11 @@ from a flag, the config file or the environment; so does an unreadable or
 malformed ``table:<path>`` file.
 CSVs carry ``#`` comments with a schema version, the units and every option
 the command takes but ``--out``/``--workers``; identical configurations
-rerun byte-identically.  Failed sweep points become ``# error:`` lines and
-a nonzero exit status.  Sweep workers: --workers, else
-SALPETER_BOUNDS_WORKERS, else (unset or empty) all cores; both take only an
-integer >= 1, and a sweep starts no more processes than it has rows.  Rows
-keep input order.
+rerun byte-identically.  ``--out -`` writes the CSV to stdout and no report
+lines.  Failed sweep points become ``# error:`` lines and a nonzero exit
+status.  Sweep workers: --workers, else SALPETER_BOUNDS_WORKERS, else (unset
+or empty) all cores; both take only an integer >= 1, and a sweep starts no
+more processes than it has rows.  Rows keep input order.
 """
 
 from __future__ import annotations
@@ -366,10 +366,8 @@ def _effective_options(cmd: Command, args: argparse.Namespace) -> dict:
     if "workers" in cmd.options and opts["workers"] is None:
         env = os.environ.get("SALPETER_BOUNDS_WORKERS", "")
         try:
-            opts["workers"] = int(env) if env else os.cpu_count() or 1
+            opts["workers"] = positive_int(env) if env else os.cpu_count() or 1
         except ValueError:
-            _usage_error(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer")
-        if opts["workers"] < 1:
             _usage_error(f"SALPETER_BOUNDS_WORKERS={env!r} is not an integer >= 1")
     return opts
 
@@ -443,7 +441,7 @@ def main(argv=None) -> int:
     rows = [row for _, row, err in results if err is None]
     errors = [" ".join(f"{k}={_fmt(v)}" for k, v in p.items()) + f": {err}"
               for p, (_, _, err) in zip(params, results) if err is not None]
-    for row in rows:
+    for row in ([] if opts["out"] == "-" else rows):  # with --out -, stdout is the CSV alone
         for template in cmd.lines:
             fields = [f for _, f, _, _ in string.Formatter().parse(template) if f]
             if all(row.get(f) is not None for f in fields):

@@ -294,7 +294,7 @@ def _weight(dim: int, r):
 
 def _log_head_norm(amp: float, scale: float, s: float, dim: int, spec) -> float:
     # ||amp * ln(scale/r)||_s over (0, scale) via r = scale e^-t:
-    #   power = w_const * amp^s * scale^dim * int_0^inf t^s e^(-dim t) dt,
+    #   power = _weight(dim, 1) * amp^s * scale^dim * int_0^inf t^s e^(-dim t) dt,
     # assembled in log space.  The t-integral is evaluated in plain double
     # precision, which limits this independent-quadrature route to moderate s
     # (the closed form covers every s).
@@ -304,13 +304,13 @@ def _log_head_norm(amp: float, scale: float, s: float, dim: int, spec) -> float:
             "the Gamma closed form covers larger exponents"
         )
     spec = _power_spec(spec, s)
-    w_const = 4.0 * math.pi if dim == 3 else 2.0
 
     def f(t):
         return math.exp(s * math.log(t) - dim * t) if t > 0.0 else 0.0
 
     base = _quad(f, 0.0, _log_tail_end(s, dim, spec.abs_tol), spec, spec.abs_tol / 4.0)
-    ln_power = math.log(w_const) + s * math.log(amp) + dim * math.log(scale) + math.log(base)
+    ln_power = (math.log(_weight(dim, 1.0)) + s * math.log(amp) + dim * math.log(scale)
+                + math.log(base))
     return math.exp(ln_power / s)
 
 

@@ -108,7 +108,6 @@ class SpectrumResult:
     refinement_delta_rel: float
     grid_count: int
     box_size: float
-    converged: bool
     boundary_amplitude: float = 0.0
 
 
@@ -198,8 +197,8 @@ def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
     return float(max(np.abs(u[0]), np.abs(u[-1]))) / peak
 
 
-def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumResult:
-    solve = solve_once_3d if dim == 3 else solve_once_1d
+def _ground_state(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
+    solve = solve_once_3d if cfg.dimension == 3 else solve_once_1d
     m, alpha = cfg.m, cfg.alpha
     L = cfg.L if cfg.L is not None else _default_box(V, m)
     n_start = cfg.N
@@ -220,11 +219,11 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig, dim: int) -> SpectrumRes
             M2, grid2, u2 = solve(V, m, alpha, L, 2 * N)
             delta = abs(M - M2)
             M, grid, u, N = M2, grid2, u2, 2 * N
-        tail = _boundary_amplitude(u, dim)
+        tail = _boundary_amplitude(u, cfg.dimension)
         best = SpectrumResult(
             mass=M, binding_energy=M - alpha * m, grid=grid, wavefunction=u,
             refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
-            grid_count=N, box_size=L, converged=True, boundary_amplitude=tail)
+            grid_count=N, box_size=L, boundary_amplitude=tail)
         # only a genuinely bound state can have an untrapped tail; free-like
         # states legitimately fill the box.  Stop when a doubled box could not
         # reach the current spacing within the grid budget.
@@ -239,14 +238,14 @@ def ground_state_3d_swave(V: PotentialModel, cfg: SolverConfig) -> SpectrumResul
     """Converged s-wave ground state of the 3D eigenproblem."""
     if cfg.dimension != 3:
         raise DomainError("config dimension must be 3 for the s-wave solver")
-    return _ground_state(V, cfg, 3)
+    return _ground_state(V, cfg)
 
 
 def ground_state_1d(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
     """Converged ground state of the 1D eigenproblem (V read as V(|x|))."""
     if cfg.dimension != 1:
         raise DomainError("config dimension must be 1 for the 1D solver")
-    return _ground_state(V, cfg, 1)
+    return _ground_state(V, cfg)
 
 
 def critical_coupling_exact(

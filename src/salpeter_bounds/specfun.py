@@ -254,7 +254,7 @@ def combined_constant(q: float) -> float:
     """
     if math.isnan(q) or not (1.0 <= q <= 2.0):
         raise DomainError(f"combined constant requires 1 <= q <= 2, got {q!r}")
-    a = math.exp(math.log(q) / q) if q != 1.0 else 1.0
+    a = math.exp(math.log(q) / q)
     b = _pow_self((q - 1.0) / q)
     x = 2.0 * q / (3.0 * q - 2.0)
     c = math.exp(math.log(x) / x)
@@ -373,7 +373,7 @@ def k0_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
 def _check_mass_alpha(m: float, alpha: float) -> None:
     if not 0.0 < m < math.inf:
         raise DomainError(f"mass must be positive and finite, got {m!r}")
-    if alpha not in (1, 2, 1.0, 2.0):
+    if alpha not in (1, 2):
         raise DomainError(f"alpha must be 1 or 2, got {alpha!r}")
     if not alpha * m < math.inf:
         raise DomainError(f"alpha * m must be finite, got {alpha!r} * {m!r}")

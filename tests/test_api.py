@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -35,11 +36,16 @@ def test_package_all_is_the_module_lists_in_order():
     ("potentials", "TruncatedPotential"),
     ("PotentialModel", "interp"),
     ("CriticalCouplingResult", "tolerance"),
+    ("SpectrumResult", "converged"),
     ("errors", "BracketError"),
     ("solver", "sine_momenta"),
     ("solver", "kinetic_diagonal"),
     ("solver", "apply_kinetic_3d"),
 ])
 def test_deleted_names_stay_gone(owner, attr):
-    assert not hasattr(getattr(salpeter_bounds, owner), attr)
+    owner = getattr(salpeter_bounds, owner)
+    # a dataclass field without a default is not a class attribute
+    if dataclasses.is_dataclass(owner):
+        assert attr not in {f.name for f in dataclasses.fields(owner)}
+    assert not hasattr(owner, attr)
     assert attr not in salpeter_bounds.__all__

@@ -7,6 +7,7 @@ import pytest
 
 from salpeter_bounds import bounds as bd
 from salpeter_bounds import potentials as pot
+from salpeter_bounds import solver as sv
 from salpeter_bounds import specfun as sf
 from salpeter_bounds.errors import DivergentNormError, DomainError, PotentialClassError
 
@@ -278,6 +279,18 @@ def test_alpha_times_mass_must_be_finite():
 def test_confining_dimension_validation():
     with pytest.raises(DomainError):
         bd.confining_bound(pot.logarithmic(1.0, 1.0), 1.0, 2, dim=2)
+
+
+def test_cutoff_walk_down_skips_repulsive_samples():
+    # the head diverges (p < 0), so the cutoff walks down along V(r_j) from
+    # r_j = 7.5/4, where the shoulder gives V > 0, a level that cannot cap V^-
+    T = pot.tabulated([0.5, 1, 2, 4, 8], [-1.5, -1, 0.4, 0.1, 0])
+    assert pot._table_head_power(T)[0] < 0.0
+    assert pot.evaluate(T, pot.length_scale(T) / 4.0) > 0.0
+    res = bd.confining_bound(T, 1.0, 2)
+    assert not res.vacuous and res.at_cap
+    oracle = sv.ground_state_3d_swave(T, sv.SolverConfig(m=1.0, alpha=2)).mass
+    assert res.mass_bound <= oracle
 
 
 def _benchmark_like_table():

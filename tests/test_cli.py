@@ -168,16 +168,22 @@ def test_overflowing_kinetic_energies_are_a_one_line_error(capfd):
                    "m = 1e+300\n")
 
 
-def test_bound3d_writes_the_csv_to_stdout(tmp_path, capsys):
-    argv = ["bound3d", "--potential", "exp", "--g", "1", "--R", "1", "--m", "1", "--alpha", "2"]
-    path = tmp_path / "bound3d.csv"
+@pytest.mark.parametrize("argv, first_column", [
+    (["bound3d", "--potential", "exp", "--g", "1", "--R", "1", "--m", "1", "--alpha", "2"],
+     "q_opt"),
+    (["confining", "--potential", "log", "--g", "2", "--R", "2.5"], "q_star"),
+    (["critical", "--potential", "exp", "--method", "bound"], "beta"),
+], ids=["bound3d", "confining", "critical"])
+def test_bound3d_writes_the_csv_to_stdout(tmp_path, capsys, argv, first_column):
+    # with --out -, stdout is the CSV alone: no report line precedes it
+    path = tmp_path / "out.csv"
     assert run_cli(argv + ["--out", str(path)], capsys)[0] == 0
     code, out, err = run_cli(argv + ["--out", "-"], capsys)
     assert code == 0 and err == ""
-    csv = out[out.index("# salpeter-bounds CSV schema: bound3d/"):]
-    assert csv == path.read_text()
-    lines = [line for line in csv.splitlines() if not line.startswith("#")]
-    assert lines[0].startswith("q_opt,") and len(lines) == 2
+    assert out == path.read_text()
+    assert out.startswith(f"# salpeter-bounds CSV schema: {argv[0]}/")
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0].startswith(f"{first_column},") and len(lines) == 2
 
 
 def test_vacuous_confining_bound_is_an_error(tmp_path, capsys):
@@ -441,7 +447,7 @@ def test_workers_env_var_must_be_an_integer(monkeypatch, capsys):
         cli.main(["fig2", "--g-list", "0.5", "--m-grid", "1:2:2", "--N", "128"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "salpeter-bounds: error: SALPETER_BOUNDS_WORKERS='abc' is not an integer\n")
+        "salpeter-bounds: error: SALPETER_BOUNDS_WORKERS='abc' is not an integer >= 1\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

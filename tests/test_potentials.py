@@ -704,6 +704,12 @@ def test_table_head_support_shorter_than_quadrature_nodes_is_kept():
         head ** (1.0 / 3.27), rel=1e-8)
 
 
+def test_table_head_support_that_underflows_is_empty():
+    # p < 0, and the head support end r0 (C/v0)^(1/p) underflows to 0
+    T = pot.tabulated([0.5, 1, 2, 4, 8], [-1.5, -1, 0.4, 0.1, 0])
+    assert pot.truncated_negative_norm(T, -1e300, 2.0, 3) == 0.0
+
+
 @pytest.mark.parametrize("values, C", [
     ([-1.0, -2.0, -1.5], -1.2),   # p > 0: support (r_c, r0)
     ([-1.0, -2.0, -1.5], -0.5),   # p > 0: all of (0, r0)

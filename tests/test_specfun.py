@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from salpeter_bounds import specfun as sf
-from salpeter_bounds.errors import DomainError
+from salpeter_bounds.errors import ConvergenceError, DomainError
 
 # Reference values computed with 30-digit arbitrary-precision arithmetic
 # (mpmath.besselk), frozen here so the suite does not depend on mpmath.
@@ -230,6 +230,12 @@ def test_k0_power_integral_large_q_finite():
 def test_k0_power_integral_domain():
     with pytest.raises(DomainError):
         sf.k0_power_integral(0.5)
+
+
+def test_tail_that_never_decays_raises(monkeypatch):
+    monkeypatch.setattr(sf, "_TAIL_CAP", 2.0)
+    with pytest.raises(ConvergenceError, match="still contributing"):
+        sf._tail(lambda x: 1.0, 1.0, sf.DEFAULT_QUADRATURE, 1e-12)
 
 
 # ---------------------------------------------------------------------------
