@@ -222,14 +222,15 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
     return q_best, t_best
 
 
-def _optimize(V, m, alpha, dim, spec) -> BoundReport:
+def _optimal_term(V, m, alpha, dim, spec) -> tuple[float, float]:
+    """(q_opt, t_opt): the norm term of V minimized over the exponent window."""
     _check_mass_alpha(m, alpha)
+    return _minimize_term(lambda q: _norm_term(V, 0.0, m, q, dim, spec), dim)
+
+
+def _optimize(V, m, alpha, dim, spec) -> BoundReport:
     spec = spec or DEFAULT_QUADRATURE
-
-    def term(q):
-        return _norm_term(V, 0.0, m, q, dim, spec)
-
-    q_opt, t_opt = _minimize_term(term, dim)
+    q_opt, t_opt = _optimal_term(V, m, alpha, dim, spec)
     mass_bound = alpha * m - t_opt
     trivial = alpha * m - sup_negative(V)  # -inf when V is unbounded below
     s = _conjugate(q_opt)
@@ -291,12 +292,12 @@ def critical_coupling_bound_3d(
     """Lower limit on the critical coupling at which the ground-state mass
     vanishes, for the potential family g * (V / V.g).
 
-    The norm term is linear in the coupling, so the optimized bound of g * v
-    is alpha m - g t with t = -E, E the optimized binding-energy bound of the
-    unit-coupling shape v; it vanishes at g = alpha m / t.  Returns math.inf
-    when the shape has no attractive part (t = 0).
+    The norm term is linear in the coupling, so the optimized mass bound of
+    g * v is alpha m - g t, t the optimized norm term of the unit-coupling
+    shape v; it vanishes at g = alpha m / t.  Returns math.inf when the shape
+    has no attractive part (t = 0).
     """
-    t = -optimize_mass_bound_3d(with_coupling(V, 1.0), m, alpha, spec).energy_bound
+    _, t = _optimal_term(with_coupling(V, 1.0), m, alpha, 3, spec or DEFAULT_QUADRATURE)
     return alpha * m / t if t > 0.0 else math.inf
 
 

@@ -167,6 +167,17 @@ def test_critical_coupling_scaling_invariance():
     assert b == pytest.approx(a, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta", [1e8, 1e17])
+def test_critical_coupling_keeps_its_digits_at_large_beta(beta):
+    # alpha m is far above the norm term t here, so a t recovered as
+    # (alpha m - t) - alpha m would lose its digits (at 1e17, all of them)
+    a = bd.critical_coupling_bound_3d(pot.exponential(1.0, 1.0), beta, 2)
+    b = bd.critical_coupling_bound_3d(pot.exponential(1.0, beta), 1.0, 2)
+    assert math.isfinite(a)
+    assert a == pytest.approx(b, rel=1e-12)
+    assert a == pytest.approx(2.0 * beta, rel=1e-4)  # t -> sup V^- = 1
+
+
 def test_critical_coupling_no_attractive_part():
     Z = pot.tabulated([0.0, 1.0], [0.1, 0.0])
     assert bd.critical_coupling_bound_3d(Z, 1.0, 2) == math.inf
