@@ -26,9 +26,11 @@ CSVs carry ``#`` comments with a schema version, the units and every option
 the command takes but ``--out``/``--workers``; identical configurations
 rerun byte-identically.  ``--out -`` writes the CSV to stdout and no report
 lines.  Failed sweep points become ``# error:`` lines and a nonzero exit
-status.  Sweep workers: --workers, else SALPETER_BOUNDS_WORKERS, else (unset
-or empty) all cores; both take only an integer >= 1, and a sweep starts no
-more processes than it has rows.  Rows keep input order.
+status.  A reader that closes stdout early (``| head -n 1``) ends the
+command with status 1 and nothing on stderr.  Sweep workers: --workers,
+else SALPETER_BOUNDS_WORKERS, else (unset or empty) all cores; both take
+only an integer >= 1, and a sweep starts no more processes than it has
+rows.  Rows keep input order.
 """
 
 from __future__ import annotations
@@ -441,16 +443,23 @@ def main(argv=None) -> int:
     rows = [row for _, row, err in results if err is None]
     errors = [" ".join(f"{k}={_fmt(v)}" for k, v in p.items()) + f": {err}"
               for p, (_, _, err) in zip(params, results) if err is not None]
-    for row in ([] if opts["out"] == "-" else rows):  # with --out -, stdout is the CSV alone
-        for template in cmd.lines:
-            fields = [f for _, f, _, _ in string.Formatter().parse(template) if f]
-            if all(row.get(f) is not None for f in fields):
-                print(template.format_map({f: _fmt(row[f]) for f in fields}))
-    if opts["out"] is not None:
-        echo = " ".join(f"{k}={_fmt(opts[k])}" for k in cmd.options
-                        if k not in ("out", "workers") and opts[k] is not None)
-        table = [[math.nan if row[k] is None else row[k] for k in cmd.header] for row in rows]
-        _write_csv(opts["out"], args.command, echo, cmd.header, table, errors)
+    try:
+        for row in ([] if opts["out"] == "-" else rows):  # with --out -, stdout is the CSV alone
+            for template in cmd.lines:
+                fields = [f for _, f, _, _ in string.Formatter().parse(template) if f]
+                if all(row.get(f) is not None for f in fields):
+                    print(template.format_map({f: _fmt(row[f]) for f in fields}))
+        if opts["out"] is not None:
+            echo = " ".join(f"{k}={_fmt(opts[k])}" for k in cmd.options
+                            if k not in ("out", "workers") and opts[k] is not None)
+            table = [[math.nan if row[k] is None else row[k] for k in cmd.header] for row in rows]
+            _write_csv(opts["out"], args.command, echo, cmd.header, table, errors)
+        sys.stdout.flush()  # a closed pipe raises here, inside the guard
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter flushes stdout at exit, so
+        # point it at devnull, or that flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if errors else 0
 
 

@@ -365,17 +365,16 @@ def _power_spec(spec: QuadratureSpec, s: float) -> QuadratureSpec:
 
 def _piece_integrand(x0: float, poly: tuple, g: float, C: float, k: float, s: float, dim: int):
     """_weight(dim, r) * _scaled_power(max(0, C - g pp(r)), k, s) on the table
-    piece with left knot x0 and coefficients poly (k > 0), summed from the constant
-    term up as scipy's evaluate_poly1 does: the bits PPoly gives in the piece."""
+    piece with left knot x0 and the four coefficients poly of its cubic (PCHIP
+    pieces are cubic), summed from the constant term up as scipy's
+    evaluate_poly1 does: the bits PPoly gives in the piece."""
     ln_k, four_pi = math.log(k), 4.0 * math.pi
+    c0, c1, c2, c3 = poly
 
     def f(r: float) -> float:
         t = r - x0
-        total, z = 0.0, 1.0
-        for c in poly:
-            total += c * z
-            z *= t
-        base = C - g * total
+        tt = t * t
+        base = C - g * (((c0 + c1 * t) + c2 * tt) + c3 * (tt * t))
         if not base > 0.0:
             return 0.0
         ln = s * (math.log(base) - ln_k)

@@ -8,7 +8,11 @@ singularity-aware quadratures for the Green's-function norm integrals
     int_0^inf K0(x)^q dx              (one dimension, finite for all q >= 1)
 
 All functions are pure; the integral evaluators are memoized per
-(q, QuadratureSpec), which is safe for concurrent callers.
+(q, QuadratureSpec), which is safe for concurrent callers.  The tail
+integrands beyond x = 1 read K1 and K0 through the memos ``_k1_tail`` and
+``_k0_tail``: the tail is integrated in the same chunks for every q, so its
+quadrature nodes do not depend on q and a q sweep asks for the same few
+hundred Bessel values again and again.
 """
 
 from __future__ import annotations
@@ -214,6 +218,11 @@ def bessel_k1(x: float) -> float:
     return v if v >= _UNDERFLOW else 0.0
 
 
+# the tail integrands' Bessel values, keyed by the quadrature node alone
+_k1_tail = lru_cache(maxsize=4096)(bessel_k1)
+_k0_tail = lru_cache(maxsize=4096)(bessel_k0)
+
+
 def _xk1(x: float) -> float:
     # x * K1(x), 0 <= x <= 2, without cancellation down to x = 0 (limit 1):
     # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x), the series of _k1_small.
@@ -314,7 +323,7 @@ def _k1_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
         return kappa * u * _xk1(x) ** q
 
     def body(x: float) -> float:
-        k1 = bessel_k1(x)
+        k1 = _k1_tail(x)
         return x ** (2.0 - q) * k1**q if k1 > 0.0 else 0.0
 
     total = _quad(head, 0.0, 1.0, spec, spec.abs_tol / 4.0)
@@ -355,7 +364,7 @@ def _k0_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
         return bessel_k0(x) ** q * x
 
     def body(x: float) -> float:
-        k0 = bessel_k0(x)
+        k0 = _k0_tail(x)
         return k0**q if k0 > 0.0 else 0.0
 
     total = _quad(head, 0.0, t_max, spec, spec.abs_tol / 4.0)

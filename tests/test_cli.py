@@ -2,13 +2,18 @@
 
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import salpeter_bounds
 from salpeter_bounds import cli
 
+_SRC = str(Path(salpeter_bounds.__file__).resolve().parents[1])
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -184,6 +189,28 @@ def test_bound3d_writes_the_csv_to_stdout(tmp_path, capsys, argv, first_column):
     assert out.startswith(f"# salpeter-bounds CSV schema: {argv[0]}/")
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert lines[0].startswith(f"{first_column},") and len(lines) == 2
+
+
+@pytest.mark.parametrize("extra, unbuffered", [([], True), ([], False), (["--out", "-"], False)],
+                         ids=["report-unbuffered", "report-buffered", "csv"])
+def test_closed_stdout_pipe_is_status_1_without_a_traceback(extra, unbuffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE, as after "| head -n 1" or "| true"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from salpeter_bounds import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "bound3d", "--potential", "exp", *extra],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_vacuous_confining_bound_is_an_error(tmp_path, capsys):

@@ -331,3 +331,38 @@ def test_integral_memoization_stable():
 def test_k1_golden_values(x, k1, xk1):
     assert sf.bessel_k1(x).hex() == k1
     assert sf._xk1(x).hex() == xk1
+
+
+# float.hex of the Green integrals and constants recorded before the tail
+# integrands read K1/K0 through the node memos; the memos must not move a bit
+K1_INTEGRAL_GOLDEN = {
+    1.0: ("0x1.921fb54442d18p+0", "0x1.0000000000000p+0"),
+    1.2: ("0x1.df1ff183ad796p+0", "0x1.68674b887762ep-1"),
+    1.45: ("0x1.3c46ace839f0fp+3", "0x1.68b0e015d18eep+0"),
+}
+K0_INTEGRAL_GOLDEN = {
+    1.0: ("0x1.921fb54442d08p+0", "0x1.fffffffffffecp-1"),
+    1.5: ("0x1.c5e4dd1b0da51p+0", "0x1.7afae79f0a78ap-1"),
+    2.0: ("0x1.3bd3cc9be45d7p+1", "0x1.6a09e667f3bc9p-1"),
+}
+
+
+def _green_hex(qs_k1, qs_k0):
+    k1 = {q: (sf.k1_power_integral(q).hex(), sf.green_constant_3d(q).hex()) for q in qs_k1}
+    k0 = {q: (sf.k0_power_integral(q).hex(), sf.green_constant_1d(q).hex()) for q in qs_k0}
+    return k1, k0
+
+
+def test_green_integral_golden_values():
+    assert _green_hex(K1_INTEGRAL_GOLDEN, K0_INTEGRAL_GOLDEN) == (
+        K1_INTEGRAL_GOLDEN, K0_INTEGRAL_GOLDEN)
+
+
+def test_green_integrals_from_cold_memos_in_reverse_order():
+    # a cold evaluation order must give the bits a warm memo gives
+    for memo in (sf._k1_power_integral_cached, sf._k0_power_integral_cached,
+                 sf._k1_tail, sf._k0_tail):
+        memo.cache_clear()
+    assert _green_hex(sorted(K1_INTEGRAL_GOLDEN, reverse=True),
+                      sorted(K0_INTEGRAL_GOLDEN, reverse=True)) == (
+        K1_INTEGRAL_GOLDEN, K0_INTEGRAL_GOLDEN)
