@@ -13,7 +13,11 @@ kinetic term applied spectrally:
 
 Ground states are converged by doubling the grid count until the N vs 2N
 eigenvalue drift falls below the configured tolerance, doubling the box as
-well when a bound state's tail touches the boundary.
+well when a bound state's tail touches the boundary.  The box is judged on
+its first two grid levels (rungs): a bound state whose boundary amplitude
+exceeds the threshold at both, and holds from the one to the next, leaves
+the box there.  The ladder of the box it left resumes only if the doubled
+box runs out of grid, so at most one box is ever pending.
 
 The critical coupling of a unit-coupling shape v, where the ground-state
 mass of K + g v crosses zero, is an eigenvalue of its own: K + g v is
@@ -53,7 +57,11 @@ __all__ = [
 ]
 
 # the box doubles, at most _MAX_BOX_DOUBLINGS times, while a converged state's
-# boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD
+# boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD.  A box is
+# left after its first two rungs already when the amplitude exceeds it at both
+# and the finer rung's is at least 0.9 of the coarser's: a tail that falls with
+# the spacing is the grid's.  At most one box is left so, pending until the
+# box after it settles.
 _TAIL_THRESHOLD = 1e-8
 _MAX_BOX_DOUBLINGS = 4
 # the largest grid count of the refinement loop and the critical coupling
@@ -197,40 +205,94 @@ def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
     return float(max(np.abs(u[0]), np.abs(u[-1]))) / peak
 
 
+def _rungs(solve, V: PotentialModel, m: float, alpha: float, L: float, N: int):
+    """The grid ladder of one box, each rung solved only when it is asked for:
+    (N, M, grid, u, delta) at N, 2N, 4N, ..., with delta = |M_prev - M| the
+    drift from the rung before (nan at the first)."""
+    M_prev = math.nan
+    while True:
+        M, grid, u = solve(V, m, alpha, L, N)
+        yield N, M, grid, u, abs(M_prev - M)
+        M_prev, N = M, 2 * N
+
+
+def _not_converged(tol: float, N: int, L: float, best: SpectrumResult | None):
+    """The error of box L, whose ladder ran out of grid at N; ``best`` is the
+    converged state of the box it doubled, if any."""
+    doubled = "" if best is None else (
+        f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
+        f"left boundary amplitude {best.boundary_amplitude:.3g}")
+    return ConvergenceError(f"ground state not converged to {tol:g} at N = {N}{doubled}")
+
+
 def _ground_state(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
     solve = solve_once_3d if cfg.dimension == 3 else solve_once_1d
-    m, alpha = cfg.m, cfg.alpha
+    m, alpha, tol = cfg.m, cfg.alpha, cfg.eigen_tol
     L = cfg.L if cfg.L is not None else _default_box(V, m)
     n_start = cfg.N
     scale = alpha * m
-    best = None
 
-    for _ in range(_MAX_BOX_DOUBLINGS + 1):
-        N = n_start
-        M, grid, u = solve(V, m, alpha, L, N)
-        delta = math.nan  # never converged, so one doubling always runs
-        while not delta <= cfg.eigen_tol * max(abs(M), scale):
-            if 2 * N > _MAX_GRID:
-                doubled = "" if best is None else (
-                    f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
-                    f"left boundary amplitude {best.boundary_amplitude:.3g}")
-                raise ConvergenceError(
-                    f"ground state not converged to {cfg.eigen_tol:g} at N = {N}{doubled}")
-            M2, grid2, u2 = solve(V, m, alpha, L, 2 * N)
-            delta = abs(M - M2)
-            M, grid, u, N = M2, grid2, u2, 2 * N
-        tail = _boundary_amplitude(u, cfg.dimension)
-        best = SpectrumResult(
-            mass=M, binding_energy=M - alpha * m, grid=grid, wavefunction=u,
-            refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
-            grid_count=N, box_size=L, boundary_amplitude=tail)
+    def converged(rung):
+        return rung[4] <= tol * max(abs(rung[1]), scale)
+
+    def climb(ladder, rung):
+        # up to the first converged rung, or to the last one the grid allows
+        while not (converged(rung) or 2 * rung[0] > _MAX_GRID):
+            rung = next(ladder)
+        return rung
+
+    def tail(rung):
+        return _boundary_amplitude(rung[3], cfg.dimension)
+
+    def untrapped(rung):
         # only a genuinely bound state can have an untrapped tail; free-like
-        # states legitimately fill the box.  Stop when a doubled box could not
-        # reach the current spacing within the grid budget.
-        if tail <= _TAIL_THRESHOLD or M >= alpha * m or 2 * N > _MAX_GRID:
+        # states legitimately fill the box
+        return not (tail(rung) <= _TAIL_THRESHOLD or rung[1] >= scale)
+
+    def doubles(rung, k):
+        # a doubled box must reach the current spacing within the grid budget
+        return untrapped(rung) and 2 * rung[0] <= _MAX_GRID and k < _MAX_BOX_DOUBLINGS
+
+    def state(rung, L):
+        N, M, grid, u, delta = rung
+        return SpectrumResult(
+            mass=M, binding_energy=M - scale, grid=grid, wavefunction=u,
+            refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
+            grid_count=N, box_size=L, boundary_amplitude=tail(rung))
+
+    best = None  # the converged state of the last box settled
+    left = None  # (ladder, rung, L, k, best) of a box left after two rungs
+    for k in range(_MAX_BOX_DOUBLINGS + 1):
+        if k:
+            L *= 2.0
+            n_start = min(2 * n_start, _MAX_GRID // 2)  # keep the grid spacing
+        ladder = _rungs(solve, V, m, alpha, L, n_start)
+        rung = next(ladder)
+        if left is None and k < _MAX_BOX_DOUBLINGS and 4 * n_start <= _MAX_GRID:
+            coarse, rung = rung, next(ladder)
+            # a tail that halves with the spacing is the grid's, not the state's
+            if (not converged(rung) and untrapped(coarse) and untrapped(rung)
+                    and tail(rung) >= 0.9 * tail(coarse)):
+                left = ladder, rung, L, k, best
+                continue
+        rung = climb(ladder, rung)
+        if not converged(rung):
+            if left is None:
+                raise _not_converged(tol, rung[0], L, best)
+            # the box entered early ran out of grid: converge the box it left
+            # and keep that box where its own state would not have doubled it
+            ladder, rung_left, L_left, k_left, best = left
+            rung_left = climb(ladder, rung_left)
+            if not converged(rung_left):
+                raise _not_converged(tol, rung_left[0], L_left, best)
+            best = state(rung_left, L_left)
+            if doubles(rung_left, k_left):
+                raise _not_converged(tol, rung[0], L, best)
+            return best
+        left = None
+        best = state(rung, L)
+        if not doubles(rung, k):
             break
-        L *= 2.0
-        n_start = min(2 * n_start, _MAX_GRID // 2)  # keep the grid spacing
     return best
 
 

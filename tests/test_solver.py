@@ -185,6 +185,164 @@ def test_doubled_box_failure_raises(monkeypatch):
         sv.ground_state_3d_swave(ZERO, cfg)
 
 
+def test_doubled_box_ground_state_golden():
+    # pexp g = 4 at m = 2 doubles its box from L = 20 to 40; frozen in float.hex
+    # from the loop that converged the L = 20 grid before doubling
+    cfg = sv.SolverConfig(m=2.0, alpha=2, dimension=1)
+    res = sv.ground_state_1d(pot.power_exponential(4.0, 1.0), cfg)
+    assert (res.mass.hex(), res.refinement_delta.hex(), res.grid_count, res.box_size) == (
+        "0x1.755252ca44d3cp+1", "0x1.e4e41b2600000p-19", 8192, 40.0)
+
+
+def full_ladder_ground_state(V, cfg):
+    """Reference box rule: converge each box's grid ladder, then double the box
+    while the converged bound state's boundary amplitude exceeds the threshold."""
+    L, n_start, scale, best = cfg.L, cfg.N, cfg.alpha * cfg.m, None
+    for _ in range(sv._MAX_BOX_DOUBLINGS + 1):
+        N = n_start
+        M, grid, u = sv.solve_once_3d(V, cfg.m, cfg.alpha, L, N)
+        delta = math.nan
+        while not delta <= cfg.eigen_tol * max(abs(M), scale):
+            if 2 * N > sv._MAX_GRID:
+                doubled = "" if best is None else (
+                    f" in the doubled box L = {L:g}; the box L = {best.box_size:g} "
+                    f"left boundary amplitude {best.boundary_amplitude:.3g}")
+                raise ConvergenceError(
+                    f"ground state not converged to {cfg.eigen_tol:g} at N = {N}{doubled}")
+            M2, grid, u = sv.solve_once_3d(V, cfg.m, cfg.alpha, L, 2 * N)
+            delta, M, N = abs(M - M2), M2, 2 * N
+        tail = sv._boundary_amplitude(u, 3)
+        best = sv.SpectrumResult(M, M - scale, grid, u, delta, delta / max(abs(M), scale),
+                                 N, L, tail)
+        if tail <= sv._TAIL_THRESHOLD or M >= scale or 2 * N > sv._MAX_GRID:
+            break
+        L, n_start = 2.0 * L, min(2 * n_start, sv._MAX_GRID // 2)
+    return best
+
+
+def fake_ladder(monkeypatch, mass, tail):
+    """Patch the 3D solve with one whose mass and boundary amplitude at (L, N)
+    are mass(L, N) and tail(L, N); returns the list of (L, N) solved."""
+    calls = []
+
+    def fake_solve(V, m, alpha, L, N):
+        calls.append((L, N))
+        u = np.ones(N - 1)
+        u[-1] = tail(L, N)
+        return mass(L, N), np.arange(1, N) * (L / N), u
+
+    monkeypatch.setattr(sv, "solve_once_3d", fake_solve)
+    return calls
+
+
+def box_rule_outcome(V, cfg, solve):
+    try:
+        res = solve(V, cfg)
+    except ConvergenceError as exc:
+        return str(exc)
+    return (res.mass, res.refinement_delta, res.grid_count, res.box_size,
+            res.boundary_amplitude)
+
+
+# with eigen_tol = 1e-3 and alpha m = 2, a mass 1 + 1/N converges at N = 512
+_CONVERGES_AT_512 = sv.SolverConfig(m=1.0, alpha=2, L=20.0, N=64, eigen_tol=1e-3)
+
+
+def per_box(at_20, at_40):
+    """A function of (L, N) that is at_20(N) in the box L = 20, at_40(N) in L = 40."""
+    return lambda L, N: at_20(N) if L == 20.0 else at_40(N)
+
+
+@pytest.mark.parametrize("max_grid, mass, tail, solved", [
+    # a stable, untrapped bound tail: two rungs at L = 20, then L = 40 converges
+    pytest.param(16384, lambda L, N: 1.0 + 1.0 / N, per_box(lambda N: 1e-3, lambda N: 1e-12),
+                 [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (40.0, 512)],
+                 id="stable-tail"),
+    # a tail that halves per rung is the grid's: the L = 20 ladder converges first
+    pytest.param(16384, lambda L, N: 1.0 + 1.0 / N, per_box(lambda N: 0.064 / N, lambda N: 0.0),
+                 [(20.0, 64), (20.0, 128), (20.0, 256), (20.0, 512),
+                  (40.0, 128), (40.0, 256), (40.0, 512)],
+                 id="halving-tail"),
+    # a box converged at its second rung is settled there, so the box after it
+    # may itself be left after two rungs
+    pytest.param(16384, lambda L, N: 1.5 if L == 20.0 else 1.0 + 1.0 / N,
+                 lambda L, N: 1e-12 if L == 80.0 else 1e-3,
+                 [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (80.0, 256), (80.0, 512)],
+                 id="converged-at-the-second-rung"),
+    # L = 40 runs out of grid; the L = 20 ladder resumes and, converged at the
+    # grid limit, is kept
+    pytest.param(512, per_box(lambda N: 1.0 + 1.0 / N, float), lambda L, N: 1e-3,
+                 [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (40.0, 512),
+                  (20.0, 256), (20.0, 512)],
+                 id="left-box-at-the-grid-limit"),
+    # the same, where the L = 20 tail falls below the threshold at convergence
+    pytest.param(16384, per_box(lambda N: 1.0 + 1.0 / N, float),
+                 lambda L, N: 1e-3 if N <= 128 else 1e-9,
+                 [(20.0, 64), (20.0, 128)] + [(40.0, 128 << i) for i in range(8)]
+                 + [(20.0, 256), (20.0, 512)],
+                 id="left-box-trapped"),
+    # the L = 20 ladder itself runs out of grid when it resumes
+    pytest.param(1024, lambda L, N: 1.0 - 0.01 * math.log2(N), lambda L, N: 1e-3,
+                 [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (40.0, 512),
+                  (40.0, 1024), (20.0, 256), (20.0, 512), (20.0, 1024)],
+                 id="no-box-converges"),
+    # a state free-like (M >= alpha m) at either of the first two rungs is not
+    # judged there
+    *(pytest.param(16384, lambda L, N, n=n: 2.5 if N == n else 1.0 + 1.0 / N,
+                   per_box(lambda N: 1e-3, lambda N: 1e-12),
+                   [(20.0, 64), (20.0, 128), (20.0, 256), (20.0, 512),
+                    (40.0, 128), (40.0, 256), (40.0, 512)],
+                   id=f"free-like-at-N{n}") for n in (64, 128)),
+    # a free-like state fills the box legitimately
+    pytest.param(16384, lambda L, N: 3.0 + 1.0 / N, lambda L, N: 1e-3,
+                 [(20.0, 64), (20.0, 128), (20.0, 256), (20.0, 512)],
+                 id="free-like"),
+])
+def test_box_left_after_two_rungs_matches_the_full_ladder(monkeypatch, max_grid, mass, tail,
+                                                         solved):
+    monkeypatch.setattr(sv, "_MAX_GRID", max_grid)
+    calls = fake_ladder(monkeypatch, mass, tail)
+    want = box_rule_outcome(ZERO, _CONVERGES_AT_512, full_ladder_ground_state)
+    calls.clear()
+    assert box_rule_outcome(ZERO, _CONVERGES_AT_512, sv._ground_state) == want
+    assert calls == solved
+    assert len(set(calls)) == len(calls)
+
+
+def test_box_left_early_whose_doubling_fails_raises_once(monkeypatch):
+    # as test_doubled_box_failure_raises, but the L = 20 grid converges only
+    # at N = 512, so L = 20 is left after two rungs; when L = 40 runs out of
+    # grid, the L = 20 ladder resumes, its converged tail still asks for the
+    # doubling, and the L = 40 error is raised without solving L = 40 again
+    monkeypatch.setattr(sv, "_MAX_GRID", 1024)
+    calls = fake_ladder(monkeypatch, lambda L, N: 1.0 + 1.0 / N if L == 20.0 else float(N),
+                        lambda L, N: 1.0)
+    with pytest.raises(ConvergenceError, match=r"N = 1024 in the doubled box L = 40.*"
+                                               r"L = 20.*amplitude 1\b") as got:
+        sv.ground_state_3d_swave(ZERO, _CONVERGES_AT_512)
+    assert calls == [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (40.0, 512),
+                     (40.0, 1024), (20.0, 256), (20.0, 512)]
+    calls.clear()
+    assert box_rule_outcome(ZERO, _CONVERGES_AT_512, full_ladder_ground_state) == str(got.value)
+
+
+def test_box_without_a_doubling_left_climbs_its_ladder(monkeypatch):
+    monkeypatch.setattr(sv, "_MAX_BOX_DOUBLINGS", 0)
+    calls = fake_ladder(monkeypatch, lambda L, N: 1.0 + 1.0 / N, lambda L, N: 1e-3)
+    assert sv._ground_state(ZERO, _CONVERGES_AT_512).box_size == 20.0
+    assert calls == [(20.0, 64), (20.0, 128), (20.0, 256), (20.0, 512)]
+
+
+def test_box_whose_grid_cannot_double_twice_is_not_left(monkeypatch):
+    # 4 N0 > _MAX_GRID: the box has no rung after its second, so no doubling
+    # could follow it, and its error comes before any L = 40 solve
+    monkeypatch.setattr(sv, "_MAX_GRID", 255)
+    calls = fake_ladder(monkeypatch, lambda L, N: 1.0 + 1.0 / N, lambda L, N: 1e-3)
+    with pytest.raises(ConvergenceError, match=r"at N = 128$"):
+        sv._ground_state(ZERO, _CONVERGES_AT_512)
+    assert calls == [(20.0, 64), (20.0, 128)]
+
+
 def test_grid_count_must_be_an_integer():
     # a fractional count spaced the points L / 128.5 on a 128-point grid
     for N in (128.5, 128.0):
