@@ -16,8 +16,9 @@ eigenvalue drift falls below the configured tolerance, doubling the box as
 well when a bound state's tail touches the boundary.  The box is judged on
 its first two grid levels (rungs): a bound state whose boundary amplitude
 exceeds the threshold at both, and holds from the one to the next, leaves
-the box there.  The ladder of the box it left resumes only if the doubled
-box runs out of grid, so at most one box is ever pending.
+the box there.  Should the doubled box run out of grid, the box it left is
+settled by running the same loop again from that box, over the rungs already
+solved: each (L, N) is solved at most once per call.
 
 The critical coupling of a unit-coupling shape v, where the ground-state
 mass of K + g v crosses zero, is an eigenvalue of its own: K + g v is
@@ -60,8 +61,8 @@ __all__ = [
 # boundary amplitude relative to its peak exceeds _TAIL_THRESHOLD.  A box is
 # left after its first two rungs already when the amplitude exceeds it at both
 # and the finer rung's is at least 0.9 of the coarser's: a tail that falls with
-# the spacing is the grid's.  At most one box is left so, pending until the
-# box after it settles.
+# the spacing is the grid's.  If the box after it runs out of grid, the same
+# loop runs again from the box left, over rungs already solved, without leaving.
 _TAIL_THRESHOLD = 1e-8
 _MAX_BOX_DOUBLINGS = 4
 # the largest grid count of the refinement loop and the critical coupling
@@ -205,17 +206,6 @@ def _boundary_amplitude(u: np.ndarray, dim: int) -> float:
     return float(max(np.abs(u[0]), np.abs(u[-1]))) / peak
 
 
-def _rungs(solve, V: PotentialModel, m: float, alpha: float, L: float, N: int):
-    """The grid ladder of one box, each rung solved only when it is asked for:
-    (N, M, grid, u, delta) at N, 2N, 4N, ..., with delta = |M_prev - M| the
-    drift from the rung before (nan at the first)."""
-    M_prev = math.nan
-    while True:
-        M, grid, u = solve(V, m, alpha, L, N)
-        yield N, M, grid, u, abs(M_prev - M)
-        M_prev, N = M, 2 * N
-
-
 def _not_converged(tol: float, N: int, L: float, best: SpectrumResult | None):
     """The error of box L, whose ladder ran out of grid at N; ``best`` is the
     converged state of the box it doubled, if any."""
@@ -226,74 +216,56 @@ def _not_converged(tol: float, N: int, L: float, best: SpectrumResult | None):
 
 
 def _ground_state(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
-    solve = solve_once_3d if cfg.dimension == 3 else solve_once_1d
-    m, alpha, tol = cfg.m, cfg.alpha, cfg.eigen_tol
-    L = cfg.L if cfg.L is not None else _default_box(V, m)
-    n_start = cfg.N
+    dim, m, alpha, tol = cfg.dimension, cfg.m, cfg.alpha, cfg.eigen_tol
+    solve = solve_once_3d if dim == 3 else solve_once_1d
     scale = alpha * m
+    solved = {}  # (L, N) -> (M, grid, u) of every rung solved in this call
 
-    def converged(rung):
-        return rung[4] <= tol * max(abs(rung[1]), scale)
-
-    def climb(ladder, rung):
-        # up to the first converged rung, or to the last one the grid allows
-        while not (converged(rung) or 2 * rung[0] > _MAX_GRID):
-            rung = next(ladder)
-        return rung
-
-    def tail(rung):
-        return _boundary_amplitude(rung[3], cfg.dimension)
-
-    def untrapped(rung):
+    def untrapped(M, tail):
         # only a genuinely bound state can have an untrapped tail; free-like
         # states legitimately fill the box
-        return not (tail(rung) <= _TAIL_THRESHOLD or rung[1] >= scale)
+        return not (tail <= _TAIL_THRESHOLD or M >= scale)
 
-    def doubles(rung, k):
-        # a doubled box must reach the current spacing within the grid budget
-        return untrapped(rung) and 2 * rung[0] <= _MAX_GRID and k < _MAX_BOX_DOUBLINGS
+    def boxes(L, n_start, k, best, leave):
+        left = None  # (L, n_start, k, best) of a box left after its first two rungs
+        while True:
+            # the grid ladder N, 2N, 4N, ... of box L, up to its first
+            # converged rung or the last one the grid allows
+            N, M_prev, tail_prev = n_start, math.nan, math.nan
+            while True:
+                if (L, N) not in solved:
+                    solved[L, N] = solve(V, m, alpha, L, N)
+                M, grid, u = solved[L, N]
+                delta, tail = abs(M_prev - M), _boundary_amplitude(u, dim)
+                converged = delta <= tol * max(abs(M), scale)
+                if converged or 2 * N > _MAX_GRID:
+                    break
+                # a tail that halves with the spacing is the grid's, not the state's
+                if (leave and left is None and N == 2 * n_start and k < _MAX_BOX_DOUBLINGS
+                        and untrapped(M_prev, tail_prev) and untrapped(M, tail)
+                        and tail >= 0.9 * tail_prev):
+                    break
+                M_prev, tail_prev, N = M, tail, 2 * N
+            if converged:
+                left, best = None, SpectrumResult(
+                    mass=M, binding_energy=M - scale, grid=grid, wavefunction=u,
+                    refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
+                    grid_count=N, box_size=L, boundary_amplitude=tail)
+                # a doubled box must reach the current spacing within the grid budget
+                if not (untrapped(M, tail) and 2 * N <= _MAX_GRID and k < _MAX_BOX_DOUBLINGS):
+                    return best
+            elif 2 * N <= _MAX_GRID:  # left after its first two rungs
+                left = L, n_start, k, best
+            elif left is None:
+                raise _not_converged(tol, N, L, best)
+            else:
+                # the box entered early ran out of grid: settle the box it
+                # left by running the loop again, over rungs already solved
+                return boxes(*left, leave=False)
+            L, n_start, k = 2.0 * L, min(2 * n_start, _MAX_GRID // 2), k + 1
 
-    def state(rung, L):
-        N, M, grid, u, delta = rung
-        return SpectrumResult(
-            mass=M, binding_energy=M - scale, grid=grid, wavefunction=u,
-            refinement_delta=delta, refinement_delta_rel=delta / max(abs(M), scale),
-            grid_count=N, box_size=L, boundary_amplitude=tail(rung))
-
-    best = None  # the converged state of the last box settled
-    left = None  # (ladder, rung, L, k, best) of a box left after two rungs
-    for k in range(_MAX_BOX_DOUBLINGS + 1):
-        if k:
-            L *= 2.0
-            n_start = min(2 * n_start, _MAX_GRID // 2)  # keep the grid spacing
-        ladder = _rungs(solve, V, m, alpha, L, n_start)
-        rung = next(ladder)
-        if left is None and k < _MAX_BOX_DOUBLINGS and 4 * n_start <= _MAX_GRID:
-            coarse, rung = rung, next(ladder)
-            # a tail that halves with the spacing is the grid's, not the state's
-            if (not converged(rung) and untrapped(coarse) and untrapped(rung)
-                    and tail(rung) >= 0.9 * tail(coarse)):
-                left = ladder, rung, L, k, best
-                continue
-        rung = climb(ladder, rung)
-        if not converged(rung):
-            if left is None:
-                raise _not_converged(tol, rung[0], L, best)
-            # the box entered early ran out of grid: converge the box it left
-            # and keep that box where its own state would not have doubled it
-            ladder, rung_left, L_left, k_left, best = left
-            rung_left = climb(ladder, rung_left)
-            if not converged(rung_left):
-                raise _not_converged(tol, rung_left[0], L_left, best)
-            best = state(rung_left, L_left)
-            if doubles(rung_left, k_left):
-                raise _not_converged(tol, rung[0], L, best)
-            return best
-        left = None
-        best = state(rung, L)
-        if not doubles(rung, k):
-            break
-    return best
+    L = cfg.L if cfg.L is not None else _default_box(V, m)
+    return boxes(L, cfg.N, 0, None, leave=True)
 
 
 def ground_state_3d_swave(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:

@@ -225,8 +225,9 @@ _k0_tail = lru_cache(maxsize=4096)(bessel_k0)
 
 def _xk1(x: float) -> float:
     # x * K1(x), 0 <= x <= 2, without cancellation down to x = 0 (limit 1):
-    # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x), the series of _k1_small.
-    if x <= 0.0:
+    # x K1 = 1 + x ln(x/2) I1(x) - (x^2/4) S(x), the series of _k1_small;
+    # below the smallest x/2 > 0 the sum rounds to its limit.
+    if not 0.5 * x > 0.0:
         return 1.0
     i1, s = _k1_series(x, 1.0)
     return 1.0 + x * math.log(0.5 * x) * i1 - 0.25 * x * x * s

@@ -360,3 +360,13 @@ def test_confining_bound_table_with_short_head_support():
     assert res.residual <= 1e-8
     p, v0 = pot._table_head_power(V)
     assert 0.3 * (res.c_star / v0) ** (1.0 / p) < 0.0022 * 0.3
+
+
+def test_green_constant_finite_next_to_q_three_halves():
+    # near q = 3/2 the K1 head samples x so small that x/2 underflows to 0,
+    # where ln(x/2) is undefined; x K1(x) must still take its limit 1 there
+    E = pot.exponential(1.0, 1.0)
+    for q in [1.4941752912354382] + [1.494 + 5e-5 * i for i in range(111)]:
+        values = (sf.k1_power_integral(q), sf.green_constant_3d(q),
+                  bd.mass_bound_3d(E, 1.0, 2.0, q))
+        assert all(map(math.isfinite, values)), (q, values)

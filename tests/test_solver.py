@@ -326,6 +326,19 @@ def test_box_left_early_whose_doubling_fails_raises_once(monkeypatch):
     assert box_rule_outcome(ZERO, _CONVERGES_AT_512, full_ladder_ground_state) == str(got.value)
 
 
+def test_ground_state_memo_is_per_call(monkeypatch):
+    # each call solves its own ladder: a memo that outlived the call would
+    # return rungs of a solve or potential patched since
+    calls = fake_ladder(monkeypatch, lambda L, N: 1.0 + 1.0 / N,
+                        per_box(lambda N: 1e-3, lambda N: 1e-12))
+    solved = [(20.0, 64), (20.0, 128), (40.0, 128), (40.0, 256), (40.0, 512)]
+    first = box_rule_outcome(ZERO, _CONVERGES_AT_512, sv._ground_state)
+    assert calls == solved
+    calls.clear()
+    assert box_rule_outcome(ZERO, _CONVERGES_AT_512, sv._ground_state) == first
+    assert calls == solved
+
+
 def test_box_without_a_doubling_left_climbs_its_ladder(monkeypatch):
     monkeypatch.setattr(sv, "_MAX_BOX_DOUBLINGS", 0)
     calls = fake_ladder(monkeypatch, lambda L, N: 1.0 + 1.0 / N, lambda L, N: 1e-3)
