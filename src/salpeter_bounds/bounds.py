@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -132,7 +133,7 @@ def _norm_term(
     the level C: the norm taken is that of (C - V)^+, which is V^- at C = 0.
     """
     norm = truncated_negative_norm(V, C, _conjugate(q), dim, spec)
-    if math.isinf(norm):
+    if math.isinf(norm) and q == 1.0:
         raise DivergentNormError(
             f"negative-part sup norm is infinite; the q = {q:g} bound does not apply"
         )
@@ -149,7 +150,7 @@ def mass_bound_3d(
     m: float,
     alpha: float,
     q: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Lower bound on the ground-state mass at fixed exponent q (3D).
 
@@ -158,7 +159,7 @@ def mass_bound_3d(
     """
     _check_mass_alpha(m, alpha)
     _check_q(q, 3)
-    return alpha * m - _norm_term(V, 0.0, m, q, 3, spec or DEFAULT_QUADRATURE)
+    return alpha * m - _norm_term(V, 0.0, m, q, 3, spec)
 
 
 def mass_bound_1d(
@@ -166,12 +167,12 @@ def mass_bound_1d(
     m: float,
     alpha: float,
     q: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Lower bound on the ground-state mass at fixed exponent q (1D)."""
     _check_mass_alpha(m, alpha)
     _check_q(q, 1)
-    return alpha * m - _norm_term(V, 0.0, m, q, 1, spec or DEFAULT_QUADRATURE)
+    return alpha * m - _norm_term(V, 0.0, m, q, 1, spec)
 
 
 def _minimize_term(term, dim: int) -> tuple[float, float]:
@@ -197,11 +198,10 @@ def _minimize_term(term, dim: int) -> tuple[float, float]:
     i = int(np.argmin(values))
     q_best, t_best = float(grid[i]), float(values[i])
 
-    lo = float(grid[i - 1]) if i > 0 else float(grid[i])
-    hi = float(grid[i + 1]) if i + 1 < len(grid) else float(grid[i])
+    a = float(grid[i - 1]) if i > 0 else float(grid[i])
+    b = float(grid[i + 1]) if i + 1 < len(grid) else float(grid[i])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = safe(c), safe(d)
@@ -229,7 +229,6 @@ def _optimal_term(V, m, alpha, dim, spec) -> tuple[float, float]:
 
 
 def _optimize(V, m, alpha, dim, spec) -> BoundReport:
-    spec = spec or DEFAULT_QUADRATURE
     q_opt, t_opt = _optimal_term(V, m, alpha, dim, spec)
     mass_bound = alpha * m - t_opt
     trivial = alpha * m - sup_negative(V)  # -inf when V is unbounded below
@@ -257,7 +256,7 @@ def optimize_mass_bound_3d(
     V: PotentialModel,
     m: float,
     alpha: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> BoundReport:
     """Best 3D mass bound over the admissible exponent window."""
     return _optimize(V, m, alpha, 3, spec)
@@ -267,7 +266,7 @@ def optimize_mass_bound_1d(
     V: PotentialModel,
     m: float,
     alpha: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> BoundReport:
     """Best 1D mass bound over the admissible exponent window."""
     return _optimize(V, m, alpha, 1, spec)
@@ -277,7 +276,7 @@ def binding_energy_bound_3d(
     V: PotentialModel,
     m: float,
     alpha: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Lower bound on the binding energy E = M - alpha m (3D, optimized q)."""
     return optimize_mass_bound_3d(V, m, alpha, spec).energy_bound
@@ -287,7 +286,7 @@ def critical_coupling_bound_3d(
     V: PotentialModel,
     m: float,
     alpha: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Lower limit on the critical coupling at which the ground-state mass
     vanishes, for the potential family g * (V / V.g).
@@ -297,7 +296,7 @@ def critical_coupling_bound_3d(
     shape v; it vanishes at g = alpha m / t.  Returns math.inf when the shape
     has no attractive part (t = 0).
     """
-    _, t = _optimal_term(with_coupling(V, 1.0), m, alpha, 3, spec or DEFAULT_QUADRATURE)
+    _, t = _optimal_term(with_coupling(V, 1.0), m, alpha, 3, spec)
     return alpha * m / t if t > 0.0 else math.inf
 
 
@@ -307,7 +306,7 @@ def cutoff_for_exponent(
     alpha: float,
     q: float,
     dim: int = 3,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[float, float, bool]:
     """Largest cutoff C with lhs(C) = norm-term(capped V)/(alpha m) <= 1.
 
@@ -317,15 +316,9 @@ def cutoff_for_exponent(
     is linear; for V unbounded below it is infinite, and q = 1 raises
     DivergentNormError there, as mass_bound_3d does.
     """
-    spec = spec or DEFAULT_QUADRATURE
     # brentq evaluates the bracket ends again and the residual reads the root
     # it returns, so each cutoff's norm is computed once
-    values: dict[float, float] = {}
-
-    def lhs(C: float) -> float:
-        if C not in values:
-            values[C] = _norm_term(V, C, m, q, dim, spec) / (alpha * m)
-        return values[C]
+    lhs = cache(lambda C: _norm_term(V, C, m, q, dim, spec) / (alpha * m))
 
     # above lim V at large r, (C - V)^+ does not decay: a hard cap on C,
     # finite (0) for the decaying kinds
@@ -341,15 +334,11 @@ def cutoff_for_exponent(
         # support of (C - V)^+ shrinking geometrically without ever probing
         # astronomically deep cutoffs
         r_scale = length_scale(V)
-        c_lo = None
         for j in range(1, 49):
-            candidate = float(evaluate(V, r_scale * 4.0 ** (-j)))
-            if candidate >= 0.0:
-                continue
-            if lhs(candidate) < 1.0:
-                c_lo = candidate
+            c_lo = float(evaluate(V, r_scale * 4.0 ** (-j)))
+            if c_lo < 0.0 and lhs(c_lo) < 1.0:
                 break
-        if c_lo is None:
+        else:
             return -math.inf, math.inf, False
 
     if math.isfinite(cap):
@@ -380,7 +369,7 @@ def confining_bound(
     V: PotentialModel,
     m: float,
     alpha: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     dim: int = 3,
 ) -> TruncationResult:
     """Lower bound M >= C* for potentials handled through the cutoff-and-shift
@@ -395,19 +384,14 @@ def confining_bound(
     _check_mass_alpha(m, alpha)
     if dim not in (1, 3):
         raise DomainError(f"dimension must be 1 or 3, got {dim!r}")
-    spec = spec or DEFAULT_QUADRATURE
-    solved = {}  # q -> (C, residual, at_cap), so q* needs no second solve
-
-    def neg_c_star(q: float) -> float:
-        solved[q] = cutoff_for_exponent(V, m, alpha, q, dim, spec)
-        return -solved[q][0]
-
+    # (C, residual, at_cap) per q, so q* needs no second solve
+    cutoff = cache(partial(cutoff_for_exponent, V, m, alpha, dim=dim, spec=spec))
     try:
-        q_star, _ = _minimize_term(neg_c_star, dim)
+        q_star, _ = _minimize_term(lambda q: -cutoff(q)[0], dim)
     except PotentialClassError:
         return TruncationResult(q_star=math.nan, c_star=-math.inf, mass_bound=-math.inf,
                                 residual=math.inf, vacuous=True)
-    c_star, residual, at_cap = solved[q_star]
+    c_star, residual, at_cap = cutoff(q_star)
     return TruncationResult(
         q_star=q_star,
         c_star=c_star,

@@ -96,6 +96,7 @@ class PotentialModel:
             radii = [r for r, _ in self.table]
             if radii[0] < 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
                 raise DomainError("table radii must be strictly increasing and >= 0")
+            _table(self)  # builds the interpolant once, and checks it
         elif self.table is not None:
             raise DomainError("only tabulated potentials carry a table")
 
@@ -128,11 +129,12 @@ def load_table(path, g: float = 1.0) -> PotentialModel:
     """
     try:
         data = np.loadtxt(path, comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
+        if data.shape[1] != 2:
+            raise DomainError("expected two columns (r, V)")
+        table = tabulated(data[:, 0], data[:, 1])  # checked at unit coupling
+    except (OSError, ValueError) as exc:  # DomainError is a ValueError
         raise DomainError(f"cannot read table {path}: {exc}") from None
-    if data.shape[1] != 2:
-        raise DomainError(f"expected two columns (r, V) in {path}")
-    return tabulated(data[:, 0], data[:, 1], g=g)
+    return with_coupling(table, g)
 
 
 def with_coupling(V: PotentialModel, g: float) -> PotentialModel:
@@ -154,7 +156,14 @@ class _Table(NamedTuple):
 @lru_cache(maxsize=256)
 def _table(model: PotentialModel) -> _Table:
     pts = np.asarray(model.table, dtype=float)
-    pp = PchipInterpolator(pts[:, 0], pts[:, 1], extrapolate=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        try:
+            pp = PchipInterpolator(pts[:, 0], pts[:, 1], extrapolate=False)
+            finite = np.isfinite(pp.c).all()  # close knots can overflow the cubic terms
+        except ValueError:  # scipy's check of the samples and slopes
+            finite = False
+    if not finite:
+        raise DomainError("table samples and their PCHIP interpolant must be finite")
     coeffs = tuple(tuple(column[::-1]) for column in pp.c.T.tolist())
     return _Table(pp, tuple(pp.x.tolist()), coeffs, min(pp(pp.x).tolist()),
                   *_table_head_power(model))
@@ -277,15 +286,24 @@ def _closed_form_norm(V: PotentialModel, s: float, dim: int) -> float:
 
 def _log_norm(V: PotentialModel, C: float, s: float, dim: int) -> float:
     """Gamma closed form of ||(C - V)^+||_s for the logarithmic kind, any C:
-    (C - V)(r) = (g/R) ln(b/r) on r < b = R e^(CR/g)."""
+    (C - V)(r) = (g/R) ln(b/r) on r < b = R e^(CR/g), with ln b = ln R + CR/g
+    where b (2b in 1D) overflows, and inf for a norm beyond the double range."""
     g, R = V.g, V.R
-    b = _shifted_support(V, C)[1]
+    try:  # ldexp doubles b exactly, and raises where 2.0 * b would round to inf
+        b = _shifted_support(V, C)[1]
+        ln_support = 3.0 * math.log(b) if dim == 3 else math.log(math.ldexp(b, 1))
+    except OverflowError:
+        ln_b = math.log(R) + C * R / g
+        ln_support = 3.0 * ln_b if dim == 3 else math.log(2.0) + ln_b
     if dim == 3:
-        ln_power = (s * math.log(g / R) + 3.0 * math.log(b) + math.log(4.0 * math.pi)
+        ln_power = (s * math.log(g / R) + ln_support + math.log(4.0 * math.pi)
                     + math.lgamma(s + 1.0) - (s + 1.0) * math.log(3.0))
     else:
-        ln_power = s * math.log(g / R) + math.log(2.0 * b) + math.lgamma(s + 1.0)
-    return math.exp(ln_power / s)
+        ln_power = s * math.log(g / R) + ln_support + math.lgamma(s + 1.0)
+    try:
+        return math.exp(ln_power / s)
+    except OverflowError:
+        return math.inf
 
 
 def _weight(dim: int, r):
@@ -317,7 +335,7 @@ def _log_head_norm(amp: float, scale: float, s: float, dim: int, spec) -> float:
 def _scaled_power(value: float, k: float, s: float) -> float:
     # (value/k)^s assembled in log space; hard clamps keep deep adaptive
     # subdivisions of singular integrands inside the double range
-    if value <= 0.0 or k <= 0.0:
+    if value <= 0.0:
         return 0.0
     ln = s * (math.log(value) - math.log(k))
     if ln < -745.0:
@@ -440,11 +458,7 @@ def _table_norm(V: PotentialModel, s: float, dim: int, spec, C: float) -> float:
     knot_sup = max(0.0, C - V.g * tab.knot_min)
     k = knot_sup if knot_sup > 0.0 else 1.0
 
-    crossings = [
-        float(c)
-        for c in np.ravel(tab.pp.solve(C / V.g, extrapolate=False))
-        if np.isreal(c)
-    ]
+    crossings = tab.pp.solve(C / V.g, extrapolate=False).tolist()
     points = sorted({*tab.knots, *crossings})
     mids = tab.pp([0.5 * (a + b) for a, b in zip(points, points[1:])]).tolist()
     total = 0.0
@@ -521,8 +535,15 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
     vmin = min_value(V)
     k = C - vmin if math.isfinite(vmin) else 1.0
 
-    def f(r):
-        return _weight(dim, r) * _scaled_power(max(0.0, C - _profile(V, r)), k, s)
+    if V.kind is PotentialKind.POWER_EXPONENTIAL:
+        # C - V as k + min V (1 - (1 + t) e^(-t)), t = r/R - 1: no cancellation at min V
+        def f(r):
+            t = r / V.R - 1.0
+            excess = k + vmin * (-math.expm1(-t) - t * math.exp(-t))
+            return _weight(dim, r) * _scaled_power(max(0.0, excess), k, s)
+    else:
+        def f(r):
+            return _weight(dim, r) * _scaled_power(max(0.0, C - _profile(V, r)), k, s)
 
     if V.kind is PotentialKind.SINGULAR:
         split = min(b, V.R)
@@ -543,7 +564,7 @@ def _quadrature_norm(V: PotentialModel, C: float, s: float, dim: int, spec) -> f
 
 
 def negative_part_norm(
-    V: PotentialModel, s: float, dim: int = 3, spec: QuadratureSpec | None = None
+    V: PotentialModel, s: float, dim: int = 3, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """||V^-||_s with the radial measure 4 pi r^2 dr in 3D and dx over the
     line in 1D.  ``s = math.inf`` returns the sup norm.
@@ -555,7 +576,7 @@ def negative_part_norm(
 
 
 def truncated_negative_norm(
-    V: PotentialModel, C: float, s: float, dim: int = 3, spec: QuadratureSpec | None = None
+    V: PotentialModel, C: float, s: float, dim: int = 3, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """||(min(V, C) - C)^-||_s = ||(C - V)^+||_s: the negative part of V capped
     at the level C and shifted back down, which the confining bound integrates.
@@ -574,7 +595,6 @@ def truncated_negative_norm(
             f"cutoff C = {C:g} > 0: (C - V)^+ tends to C at large r and its "
             "norm diverges for a decaying potential"
         )
-    spec = spec or DEFAULT_QUADRATURE
     if V.kind is PotentialKind.LOGARITHMIC:
         return _log_norm(V, C, s, dim)
     if V.kind is PotentialKind.TABULATED:

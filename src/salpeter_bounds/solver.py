@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 import scipy.sparse.linalg
@@ -219,7 +220,7 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
     dim, m, alpha, tol = cfg.dimension, cfg.m, cfg.alpha, cfg.eigen_tol
     solve = solve_once_3d if dim == 3 else solve_once_1d
     scale = alpha * m
-    solved = {}  # (L, N) -> (M, grid, u) of every rung solved in this call
+    rung = cache(partial(solve, V, m, alpha))  # (L, N) -> (M, grid, u), once per call
 
     def untrapped(M, tail):
         # only a genuinely bound state can have an untrapped tail; free-like
@@ -233,9 +234,7 @@ def _ground_state(V: PotentialModel, cfg: SolverConfig) -> SpectrumResult:
             # converged rung or the last one the grid allows
             N, M_prev, tail_prev = n_start, math.nan, math.nan
             while True:
-                if (L, N) not in solved:
-                    solved[L, N] = solve(V, m, alpha, L, N)
-                M, grid, u = solved[L, N]
+                M, grid, u = rung(L, N)
                 delta, tail = abs(M_prev - M), _boundary_amplitude(u, dim)
                 converged = delta <= tol * max(abs(M), scale)
                 if converged or 2 * N > _MAX_GRID:
@@ -286,7 +285,7 @@ def critical_coupling_exact(
     v: PotentialModel,
     m: float | None = None,
     alpha: float | None = None,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     g_tol_rel: float = 1e-6,
     grid_stability_rel: float | None = None,
 ) -> CriticalCouplingResult:
@@ -307,7 +306,6 @@ def critical_coupling_exact(
     ``m``/``alpha`` override the config values when given; ``v`` is used as
     the unit-coupling shape.
     """
-    cfg = cfg or SolverConfig()
     if m is not None or alpha is not None:
         cfg = replace(cfg, m=cfg.m if m is None else m,
                       alpha=cfg.alpha if alpha is None else alpha)

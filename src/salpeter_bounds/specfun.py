@@ -324,15 +324,14 @@ def _k1_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
         return kappa * u * _xk1(x) ** q
 
     def body(x: float) -> float:
-        k1 = _k1_tail(x)
-        return x ** (2.0 - q) * k1**q if k1 > 0.0 else 0.0
+        return x ** (2.0 - q) * _k1_tail(x) ** q
 
     total = _quad(head, 0.0, 1.0, spec, spec.abs_tol / 4.0)
     total += _tail(body, 1.0, spec, spec.abs_tol)
     return total
 
 
-def k1_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
+def k1_power_integral(q: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """int_0^inf x^(2-q) K1(x)^q dx for 1 <= q < 3/2.
 
     Near x = 0 the integrand behaves like x^(2-2q), so the integral diverges
@@ -340,7 +339,7 @@ def k1_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
     """
     if math.isnan(q) or not (1.0 <= q < 1.5):
         raise DomainError(f"K1 power integral requires 1 <= q < 3/2, got {q!r}")
-    return _k1_power_integral_cached(float(q), spec or DEFAULT_QUADRATURE)
+    return _k1_power_integral_cached(float(q), spec)
 
 
 def _log_tail_end(power: float, rate: float, abs_tol: float) -> float:
@@ -365,19 +364,18 @@ def _k0_power_integral_cached(q: float, spec: QuadratureSpec) -> float:
         return bessel_k0(x) ** q * x
 
     def body(x: float) -> float:
-        k0 = _k0_tail(x)
-        return k0**q if k0 > 0.0 else 0.0
+        return _k0_tail(x) ** q
 
     total = _quad(head, 0.0, t_max, spec, spec.abs_tol / 4.0)
     total += _tail(body, 1.0, spec, spec.abs_tol)
     return total
 
 
-def k0_power_integral(q: float, spec: QuadratureSpec | None = None) -> float:
+def k0_power_integral(q: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """int_0^inf K0(x)^q dx, finite for every q >= 1."""
     if math.isnan(q) or not q >= 1.0:
         raise DomainError(f"K0 power integral requires q >= 1, got {q!r}")
-    return _k0_power_integral_cached(float(q), spec or DEFAULT_QUADRATURE)
+    return _k0_power_integral_cached(float(q), spec)
 
 
 def _check_mass_alpha(m: float, alpha: float) -> None:
@@ -389,7 +387,7 @@ def _check_mass_alpha(m: float, alpha: float) -> None:
         raise DomainError(f"alpha * m must be finite, got {alpha!r} * {m!r}")
 
 
-def green_constant_3d(q: float, spec: QuadratureSpec | None = None) -> float:
+def green_constant_3d(q: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mass- and alpha-independent factor of the 3D Green's-function q-norm:
     (4 pi)^(1/q) / (2 pi^2) * [int_0^inf x^(2-q) K1(x)^q dx]^(1/q).
     """
@@ -397,7 +395,7 @@ def green_constant_3d(q: float, spec: QuadratureSpec | None = None) -> float:
     return (4.0 * math.pi) ** (1.0 / q) / (2.0 * math.pi**2) * integral ** (1.0 / q)
 
 
-def green_constant_1d(q: float, spec: QuadratureSpec | None = None) -> float:
+def green_constant_1d(q: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mass- and alpha-independent factor of the 1D Green's-function q-norm:
     2^(1/q) / pi * [int_0^inf K0(x)^q dx]^(1/q).
     """
@@ -406,7 +404,7 @@ def green_constant_1d(q: float, spec: QuadratureSpec | None = None) -> float:
 
 
 def green_norm_3d(
-    q: float, m: float, alpha: float, spec: QuadratureSpec | None = None
+    q: float, m: float, alpha: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """L^q norm of the 3D kinetic-energy Green's function,
     m^(2-3/q) * green_constant_3d(q) / alpha.  Requires m > 0: the norms all
@@ -417,7 +415,7 @@ def green_norm_3d(
 
 
 def green_norm_1d(
-    q: float, m: float, alpha: float, spec: QuadratureSpec | None = None
+    q: float, m: float, alpha: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """L^q norm of the 1D kinetic-energy Green's function,
     m^(-1/q) * green_constant_1d(q) / alpha.

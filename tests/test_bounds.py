@@ -370,3 +370,34 @@ def test_green_constant_finite_next_to_q_three_halves():
         values = (sf.k1_power_integral(q), sf.green_constant_3d(q),
                   bd.mass_bound_3d(E, 1.0, 2.0, q))
         assert all(map(math.isfinite, values)), (q, values)
+
+
+@pytest.mark.parametrize("V", [pot.singular(5.0, 1.0), pot.logarithmic(0.5, 2.5)],
+                         ids=["sing", "log"])
+def test_confining_bound_solves_each_exponent_once(monkeypatch, V):
+    solved = []
+    cutoff = bd.cutoff_for_exponent
+
+    def spy(V, m, alpha, q, *args, **kwargs):
+        solved.append(q)
+        return cutoff(V, m, alpha, q, *args, **kwargs)
+
+    monkeypatch.setattr(bd, "cutoff_for_exponent", spy)
+    res = bd.confining_bound(V, 1.0, 2.0)
+    assert len(solved) == len(set(solved)) and res.q_star in solved
+
+
+# oracle masses from `salpeter-bounds solve --potential log` (R = 1, alpha = 2,
+# the default L = 20 box, which can only raise them)
+@pytest.mark.parametrize("g, m, dim, oracle", [
+    (0.01, 4.0, 3, 8.0273376706974719),
+    (0.01, 4.0, 1, 8.0098572049578447),
+    (0.001, 1.0, 3, 2.0267426466739669),
+    (0.1, 100.0, 3, 199.9892942911469),
+])
+def test_log_confining_bound_where_the_support_overflows(g, m, dim, oracle):
+    # near the root CR/g exceeds ln(DBL_MAX), so b = R e^(CR/g) overflows, and
+    # at bracket probes far above it the norm itself does
+    res = bd.confining_bound(pot.logarithmic(g, 1.0), m, 2.0, dim=dim)
+    assert not res.vacuous and res.residual <= 1e-8
+    assert 0.9 * oracle < res.c_star <= oracle

@@ -143,7 +143,8 @@ def test_critical_sing_uses_the_fig1_stability_rule(tmp_path, capsys):
     assert text.split("g_c exact:")[1].split()[0] == row.split(",")[2]
 
 
-@pytest.mark.parametrize("content", [None, "0.5 -1\n1 abc\n"])
+@pytest.mark.parametrize("content", [None, "0.5 -1\n1 abc\n", "0.5 -1\n1 nan\n",
+                                     "1 -1e308\n2 1e308\n"])
 def test_unreadable_table_is_a_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "table.dat"
     if content is not None:

@@ -210,6 +210,17 @@ def test_load_table_unreadable_file_names_it(tmp_path):
         pot.load_table(garbled)
 
 
+@pytest.mark.parametrize("radii, values", [
+    ([0.5, 1.0, 2.0], [-1.0, math.nan, 0.0]),
+    ([0.5, 1.0, math.inf], [-1.0, -0.5, 0.0]),
+    ([1.0, 2.0], [-1e308, 1e308]),  # the slope is 2e308
+    ([0.0, 1e-150, 2.0], [0.0, 1.0, 0.0]),  # finite slopes, a cubic coefficient -inf
+])
+def test_table_whose_interpolant_is_not_finite_is_rejected(radii, values):
+    with pytest.raises(DomainError, match="samples and their PCHIP interpolant must be finite"):
+        pot.tabulated(radii, values)
+
+
 def test_table_power_law_head_below_first_radius():
     # the first two samples fix p = log(-1/-2)/log(1/0.5) = -1, so below
     # r0 = 0.5 the table reads g v0 (r/r0)^p = 1.5 * -2 * 0.5/r
@@ -416,10 +427,6 @@ def test_pexp_support_near_the_minimum():
     assert r1 == pytest.approx(V.R, rel=1e-7) and r2 == pytest.approx(V.R, rel=1e-7)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-    "known defect: within about 1e-10 relative above min V the pexp integrand "
-    "(C - V)^+ / (C - min V) is rounding noise of V, and QUADPACK's error "
-    "estimate exceeds the value"))
 def test_pexp_truncated_norm_just_above_the_minimum():
     V = pot.power_exponential(1.0, 1.0)
     C = pot.min_value(V) * (1.0 - 1e-12)
